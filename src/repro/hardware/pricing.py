@@ -183,12 +183,6 @@ class CloudCatalog:
         """Mean spot preemptions per instance-hour for this type."""
         return self.instance(gpu_name).spot_interruptions_per_hour
 
-    def with_instance(self, instance: CloudInstanceType) -> "CloudCatalog":
-        """A copy of the catalog with one instance type added/replaced."""
-        table = dict(self.instances)
-        table[instance.gpu] = instance
-        return CloudCatalog(instances=table)
-
 
 #: Cloud rental multipliers over the on-prem table: on-demand rents at the
 #: owned-hardware hourly rate, spot at the historical ~30% of on-demand,

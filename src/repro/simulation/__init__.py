@@ -36,8 +36,10 @@ from repro.simulation.traffic import (
 from repro.simulation.frontier import (
     ClusterFrontier,
     EventFrontier,
+    LoadIndex,
     committed_load,
     least_loaded_pod,
+    requests_in_system,
 )
 from repro.simulation.fleet import (
     Router,
@@ -99,8 +101,10 @@ __all__ = [
     "to_json",
     "ClusterFrontier",
     "EventFrontier",
+    "LoadIndex",
     "committed_load",
     "least_loaded_pod",
+    "requests_in_system",
     "ArrivalLog",
     "RecordedTraffic",
     "ReplayTraffic",

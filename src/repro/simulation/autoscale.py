@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.simulation.fleet import Router, ScaleEvent
+from repro.simulation.frontier import LoadIndex
 
 if TYPE_CHECKING:  # import cycle: the engine itself imports this package
     from repro.inference.engine import ContinuousBatchingEngine
@@ -425,3 +426,7 @@ class AdmissionController(Router):
 
     def route(self, request, arrival_time, pods) -> int:
         return self.inner.route(request, arrival_time, pods)
+
+    def bind_index(self, index: LoadIndex) -> bool:
+        """Routing is the inner router's, so the load index is too."""
+        return self.inner.bind_index(index)

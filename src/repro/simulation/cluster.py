@@ -50,7 +50,12 @@ from repro.simulation.cloud import (
     spot_preemption_specs,
 )
 from repro.simulation.faults import FaultEvent, FaultInjector
-from repro.simulation.fleet import FleetResult, FleetSimulator, ScaleEvent
+from repro.simulation.fleet import (
+    FleetResult,
+    FleetSimulator,
+    ScaleEvent,
+    check_window,
+)
 from repro.simulation.frontier import ClusterFrontier
 from repro.simulation.results import fault_event_dict, json_float
 
@@ -786,10 +791,7 @@ class ClusterSimulator:
         one pod. Tenants interact *only* through the inventory, so
         per-tenant causality is exactly the standalone fleet's.
         """
-        if duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {duration_s}")
-        if warmup_s < 0:
-            raise ValueError(f"warmup_s must be >= 0, got {warmup_s}")
+        check_window(duration_s, warmup_s)
         t_end = warmup_s + duration_s
         wall_start = _time.perf_counter()
         base_used = dict(self.inventory.used)

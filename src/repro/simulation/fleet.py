@@ -30,6 +30,7 @@ seeded output.
 from __future__ import annotations
 
 import heapq
+import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable
@@ -39,6 +40,7 @@ import numpy as np
 from repro.simulation.faults import FaultEvent, FaultInjector, FaultSpec
 from repro.simulation.frontier import (
     EventFrontier,
+    LoadIndex,
     committed_load,
     least_loaded_pod,
 )
@@ -66,10 +68,23 @@ __all__ = [
     "WeightAwareRouter",
     "ROUTERS",
     "ScaleEvent",
+    "check_window",
     "PodStats",
     "FleetResult",
     "FleetSimulator",
 ]
+
+
+def check_window(duration_s: float, warmup_s: float) -> None:
+    """Reject a run window that is empty, negative or not finite.
+
+    NaN slips through plain ``<=``/``<`` guards and an infinite window
+    never ends, so both are rejected by name.
+    """
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration_s must be positive and finite, got {duration_s}")
+    if not (math.isfinite(warmup_s) and warmup_s >= 0):
+        raise ValueError(f"warmup_s must be >= 0 and finite, got {warmup_s}")
 
 
 class Router:
@@ -87,6 +102,15 @@ class Router:
 
     def reset(self) -> None:
         """Forget routing state before a fresh run."""
+
+    def bind_index(self, index: LoadIndex) -> bool:
+        """Offer a fleet's :class:`LoadIndex` at the start of its run.
+
+        Returns whether this router selects on it; the fleet keeps the
+        index current only then. A router that reads no pod load (the
+        base, round-robin) declines and costs the fleet nothing.
+        """
+        return False
 
 
 class RoundRobinRouter(Router):
@@ -106,33 +130,68 @@ class RoundRobinRouter(Router):
         self._next = 0
 
 
-class LeastLoadedRouter(Router):
+class _IndexedRouter(Router):
+    """A router that selects on a :class:`LoadIndex` instead of scanning.
+
+    Routing the list of the fleet it is bound to reads that fleet's
+    maintained index; any other pod list (a direct call) is read into a
+    snapshot first. Either way the selection is :func:`least_loaded_pod`
+    on the ``index_key`` array.
+    """
+
+    #: The :class:`LoadIndex` array this router selects on.
+    index_key = "load"
+    _index: LoadIndex | None = None
+
+    def bind_index(self, index: LoadIndex) -> bool:
+        bound = self._index
+        if bound is not None and bound is not index and bound.live:
+            raise ValueError(
+                f"this {self.name} router is already routing another running "
+                "fleet; give each fleet its own router instance"
+            )
+        self._index = index
+        return True
+
+    def _keys(self, pods) -> np.ndarray:
+        index = self._index
+        if index is not None and index.pods is pods:
+            return getattr(index, self.index_key)
+        return LoadIndex.snapshot(pods, self.index_key)
+
+
+class LeastLoadedRouter(_IndexedRouter):
     """Pick the pod with the least committed work, by batch weight.
 
     Load is the weight of the in-flight batch plus the weight still
     waiting in the pod's queue, i.e. every token the pod has accepted but
-    not finished; ties break toward the lowest pod index.
+    not finished; ties break toward the lowest pod index. The pick is
+    one ``argmin`` over the :class:`LoadIndex` ``load`` array — the
+    same pod an O(pods) ``min()`` scan would return.
     """
 
     name = "least-loaded"
 
     def route(self, request, arrival_time, pods) -> int:
-        return least_loaded_pod(range(len(pods)), pods)
+        return least_loaded_pod(self._keys(pods))
 
 
-class JoinShortestQueueRouter(Router):
-    """Classic JSQ: pick the pod with the fewest requests in the system."""
+class JoinShortestQueueRouter(_IndexedRouter):
+    """Classic JSQ: pick the pod with the fewest requests in the system.
+
+    Queued plus in-flight requests, ties toward the lowest pod index;
+    the pick is one ``argmin`` over the :class:`LoadIndex` ``depth``
+    array — the same pod an O(pods) ``min()`` scan would return.
+    """
 
     name = "join-shortest-queue"
+    index_key = "depth"
 
     def route(self, request, arrival_time, pods) -> int:
-        return min(
-            range(len(pods)),
-            key=lambda i: (pods[i].queue_depth + pods[i].active_requests, i),
-        )
+        return least_loaded_pod(self._keys(pods))
 
 
-class WeightAwareRouter(Router):
+class WeightAwareRouter(_IndexedRouter):
     """Route on estimated request cost: isolate heavy requests.
 
     Queue-depth routing (JSQ) treats a 4000-token summarization request
@@ -150,7 +209,9 @@ class WeightAwareRouter(Router):
     their tier exactly as much as the many mice load theirs, and the
     count-p95 of latency sits safely inside the protected light tier.
     Within a tier, the pod with the least committed token weight wins,
-    so each tier is itself least-loaded.
+    so each tier is itself least-loaded: the tiers are contiguous
+    position ranges, so each pick is an ``argmin`` over one slice of the
+    :class:`LoadIndex` ``load`` array.
 
     Until ``warmup`` arrivals have been observed (or when the fleet has
     a single pod) the router degrades to plain least-loaded: with no
@@ -177,10 +238,6 @@ class WeightAwareRouter(Router):
         self._weights: list[int] = []
         self._seen = 0
 
-    @staticmethod
-    def _least_loaded(candidates: list[int], pods) -> int:
-        return least_loaded_pod(candidates, pods)
-
     def _threshold(self, heavy_share: float) -> float:
         """Weight above which the top tail carries ``heavy_share`` of load.
 
@@ -196,13 +253,14 @@ class WeightAwareRouter(Router):
         return float(ordered[index - 1])
 
     def route(self, request, arrival_time, pods) -> int:
+        load = self._keys(pods)
         weight = request.weight
         self._seen += 1
         self._weights.append(weight)
         if len(self._weights) > self.window:
             del self._weights[0]
         if len(pods) < 2 or self._seen < self.warmup:
-            return self._least_loaded(list(range(len(pods))), pods)
+            return least_loaded_pod(load)
         n_heavy = max(1, round(self.heavy_pod_fraction * len(pods)))
         n_heavy = min(n_heavy, len(pods) - 1)
         threshold = self._threshold(n_heavy / len(pods))
@@ -210,13 +268,13 @@ class WeightAwareRouter(Router):
             # Degenerate window (near-constant weights): no request
             # would classify as heavy, so tiering would idle the heavy
             # pods. Fall back to fleet-wide least-loaded.
-            return self._least_loaded(list(range(len(pods))), pods)
+            return least_loaded_pod(load)
         # The heavy tier sits at the top of the pod list; under
         # autoscaling that is the newest pods, which also drain first.
         split = len(pods) - n_heavy
         if weight > threshold:
-            return self._least_loaded(list(range(split, len(pods))), pods)
-        return self._least_loaded(list(range(split)), pods)
+            return least_loaded_pod(load, split)
+        return least_loaded_pod(load, 0, split)
 
     def reset(self) -> None:
         self._weights = []
@@ -651,6 +709,10 @@ class FleetSimulator:
         # oracle path stays selectable for equivalence benchmarks.
         self.fast = bool(fast)
         self._frontier = EventFrontier()
+        # Routing keys of the routable pods (simulation.frontier), kept
+        # current on both paths, fast or not. Set in begin() only when
+        # the router selects on it; None otherwise.
+        self._index: LoadIndex | None = None
         self._events = 0
         self._wall_start = _time.perf_counter()
 
@@ -794,13 +856,18 @@ class FleetSimulator:
 
     def begin(self, duration_s: float, warmup_s: float = 0.0) -> None:
         """Validate, reset routing/scaling state, submit the t=0 population."""
-        if duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {duration_s}")
-        if warmup_s < 0:
-            raise ValueError(f"warmup_s must be >= 0, got {warmup_s}")
+        check_window(duration_s, warmup_s)
         for pod in self.pods:
             if pod.time > 0 or pod.has_work():
                 raise ValueError("FleetSimulator requires fresh engines")
+        # Bind before the reset: a router still serving another running
+        # fleet must be refused before its state is touched.
+        index = LoadIndex(self.pods)
+        if self.router.bind_index(index):
+            index.live = True
+            self._index = index
+        else:
+            self._index = None
         self.router.reset()
         self._events = 0
         self._wall_start = _time.perf_counter()
@@ -917,6 +984,11 @@ class FleetSimulator:
                     self._pending,
                     (stepping.time, self._seq, hint, follow_up, False),
                 )
+        if finished and self._index is not None:
+            # Completions are the only step outcome that moves a pod's
+            # routing keys (admission just shifts weight and requests
+            # from the queue to the batch).
+            self._index.update(stepping)
         if self._draining:
             self._retire_drained(stepping.time)
         if self.fast:
@@ -938,6 +1010,9 @@ class FleetSimulator:
         while self._pending:
             t, _, hint, request, counted = heapq.heappop(self._pending)
             self._dispatch(request, t, pod_hint=hint, force=True, counted=counted)
+        if self._index is not None:
+            # The run is over: its router may serve another fleet now.
+            self._index.live = False
 
     def collect(
         self, duration_s: float, warmup_s: float = 0.0, keep_samples: bool = True
@@ -948,6 +1023,17 @@ class FleetSimulator:
     def _in_service(self) -> list["ContinuousBatchingEngine"]:
         """Pods that may still be doing work: routable + draining."""
         return self.pods + self._draining if self._draining else self.pods
+
+    def _reindex(self) -> None:
+        """Rebuild the indexes after the routable pod set changed.
+
+        The load index is rebuilt whatever ``fast`` says: the oracle
+        path routes through it too, so a stale one would misroute.
+        """
+        if self._index is not None:
+            self._index.rebuild()
+        if self.fast:
+            self._frontier.rebuild(self._in_service())
 
     def _inject_due(self, cutoff: float) -> None:
         """Submit every arrival that is due at the current fleet frontier.
@@ -1051,6 +1137,8 @@ class FleetSimulator:
         if pod.time < arrival_time:
             pod.advance_to(arrival_time)
         pod.submit(request, arrival_time=arrival_time)
+        if self._index is not None:
+            self._index.update(pod)
         if self.fast and not was_busy:
             # The submit turned an idle pod busy (possibly moving its
             # clock first): it joins the event frontier now. Pods that
@@ -1176,8 +1264,7 @@ class FleetSimulator:
         if crashed:
             if restart is not None:
                 self._starting.sort(key=lambda e: (e[0], e[1]))
-            if self.fast:
-                self._frontier.rebuild(self._in_service())
+            self._reindex()
         else:
             # Nothing in service matched (empty zone, pod already gone):
             # record the scheduled event so fault schedules stay visible.
@@ -1250,11 +1337,11 @@ class FleetSimulator:
             self.pods.append(pod)
             self._routable.add(serial)
             activated = True
-        if activated and self.fast:
+        if activated:
             # Appending to self.pods shifts every draining pod's
             # position in the in-service order — the heap's tie-break —
-            # so the index must be rebuilt.
-            self._frontier.rebuild(self._in_service())
+            # so both indexes must be rebuilt.
+            self._reindex()
 
     def _retire_drained(self, now: float) -> None:
         """Retire draining pods that have finished their residual work."""
@@ -1344,8 +1431,8 @@ class FleetSimulator:
                 self._draining.append(victim)
                 drained = True
                 delta -= 1
-            if drained and self.fast:
-                self._frontier.rebuild(self._in_service())
+            if drained:
+                self._reindex()
         self.scale_events.append(
             ScaleEvent(
                 time_s=t,

@@ -21,15 +21,25 @@ binary heap keyed on ``(pod.time, service_order)``:
   (activation, draining, retirement) renumber positions, so the fleet
   calls :meth:`rebuild` on every such (rare) event.
 
-The module also hosts the one shared definition of pod load used by
-every least-loaded selection (routers, drain-victim choice), previously
-copy-pasted as ``key=lambda`` closures in three places.
+The module also hosts the routing side of the same idea.
+:class:`LoadIndex` keeps every routable pod's routing keys — its
+:func:`committed_load` and its requests in the system — in two int64
+arrays in fleet order, so the load-aware routers pick a pod with one
+``argmin`` instead of an O(pods) ``min()`` scan per arrival. The fleet
+updates a pod's entry after each submit to it and after each step that
+completed requests (the only events that move either key), and rebuilds
+the index whenever the routable set changes, just as it rebuilds the
+event frontier. The keys are exact integers and ``argmin`` returns the
+first minimum, so every placement equals the scan's lowest-index
+tie-break.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with the engine
     from repro.inference.engine import ContinuousBatchingEngine
@@ -38,8 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with the engine
 __all__ = [
     "ClusterFrontier",
     "EventFrontier",
+    "LoadIndex",
     "committed_load",
     "least_loaded_pod",
+    "requests_in_system",
 ]
 
 
@@ -59,16 +71,72 @@ def committed_load(pod: "ContinuousBatchingEngine") -> int:
         return pod.batch_weight_in_use + pod.pending_weight
 
 
-def least_loaded_pod(candidates: Iterable[int], pods: Sequence) -> int:
-    """Index of the least-loaded candidate pod; ties break to the lowest.
+def requests_in_system(pod: "ContinuousBatchingEngine") -> int:
+    """Requests queued or in flight on the pod: the join-shortest-queue key.
 
-    The one shared helper behind every least-loaded selection
-    (:class:`~repro.simulation.fleet.LeastLoadedRouter`, the tiered
-    :class:`~repro.simulation.fleet.WeightAwareRouter`); load is
-    :func:`committed_load`, the same measure the autoscaler's
-    drain-victim choice uses.
+    Reads the engine's private queues directly, like
+    :func:`committed_load`; duck-typed pods fall back to the public
+    ``queue_depth``/``active_requests`` accessors.
     """
-    return min(candidates, key=lambda i: (committed_load(pods[i]), i))
+    try:
+        return len(pod._queue) + len(pod._active)
+    except AttributeError:
+        return pod.queue_depth + pod.active_requests
+
+
+def least_loaded_pod(keys: np.ndarray, lo: int = 0, hi: int | None = None) -> int:
+    """Position of the smallest key in ``keys[lo:hi]``; ties break to the lowest.
+
+    The one selection behind every load-aware router: ``keys`` is a
+    :class:`LoadIndex` array (``load`` for least-loaded and the tiers of
+    :class:`~repro.simulation.fleet.WeightAwareRouter`, ``depth`` for
+    join-shortest-queue) and ``[lo, hi)`` a contiguous run of pod
+    positions. ``argmin`` returns the first minimum of exact integers,
+    so the answer equals ``min(range(lo, hi), key=lambda i: (keys[i],
+    i))`` without the per-pod Python calls.
+    """
+    return int(keys[lo:hi].argmin()) + lo
+
+
+class LoadIndex:
+    """Routing keys of a fleet's routable pods, in fleet order.
+
+    ``load[i]`` is :func:`committed_load` and ``depth[i]`` is
+    :func:`requests_in_system` of ``pods[i]``. ``pods`` is held by
+    reference, so a router can tell its fleet's own list from any other
+    list it is handed. A :class:`~repro.simulation.fleet.FleetSimulator`
+    whose router reads the index keeps it current: :meth:`update` after
+    every submit and every step that completed requests, :meth:`rebuild`
+    on every change of the routable set. ``live`` marks an index whose
+    fleet is mid-run; one router cannot serve two such fleets.
+    """
+
+    __slots__ = ("pods", "load", "depth", "live", "_order")
+
+    def __init__(self, pods: list) -> None:
+        self.pods = pods
+        self.live = False
+        self.rebuild()
+
+    @staticmethod
+    def snapshot(pods: Sequence, key: str) -> np.ndarray:
+        """One key array (``"load"`` or ``"depth"``) read fresh from ``pods``."""
+        read = committed_load if key == "load" else requests_in_system
+        return np.fromiter(map(read, pods), dtype=np.int64, count=len(pods))
+
+    def rebuild(self) -> None:
+        """Re-read every pod; O(pods), on membership changes only."""
+        pods = self.pods
+        self._order = {id(pod): i for i, pod in enumerate(pods)}
+        self.load = self.snapshot(pods, "load")
+        self.depth = self.snapshot(pods, "depth")
+
+    def update(self, pod: "ContinuousBatchingEngine") -> None:
+        """Re-read one pod's keys; pods outside the index are ignored."""
+        i = self._order.get(id(pod))
+        if i is not None:
+            self.load[i] = committed_load(pod)
+            self.depth[i] = requests_in_system(pod)
 
 
 class EventFrontier:

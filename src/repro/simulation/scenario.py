@@ -54,7 +54,13 @@ from repro.simulation.autoscale import (
     ThresholdPolicy,
 )
 from repro.simulation.faults import FaultInjector, FaultSpec
-from repro.simulation.fleet import ROUTERS, FleetResult, FleetSimulator, Router
+from repro.simulation.fleet import (
+    ROUTERS,
+    FleetResult,
+    FleetSimulator,
+    Router,
+    check_window,
+)
 from repro.simulation.replay import ArrivalLog, ReplayTraffic
 from repro.simulation.traffic import (
     BurstyTraffic,
@@ -258,11 +264,7 @@ class ScenarioSpec:
             if not ok:
                 errors.append(message)
 
-        require(
-            self.duration_s > 0,
-            f"duration_s must be positive, got {self.duration_s}",
-        )
-        require(self.warmup_s >= 0, f"warmup_s must be >= 0, got {self.warmup_s}")
+        check(check_window, self.duration_s, self.warmup_s)
         require(self.pods >= 1, f"pods must be >= 1, got {self.pods}")
         check(_check_keys, self.workload, _WORKLOAD_KEYS, "workload")
         check(self._validate_faults, self.faults, "scenario faults")

@@ -313,6 +313,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="initial allocation"):
             sim.run(duration_s=10.0)
 
+    @pytest.mark.parametrize(
+        "window",
+        [
+            {"duration_s": float("nan")},
+            {"duration_s": float("inf")},
+            {"duration_s": 5.0, "warmup_s": float("nan")},
+            {"duration_s": 5.0, "warmup_s": float("inf")},
+        ],
+        ids=["duration-nan", "duration-inf", "warmup-nan", "warmup-inf"],
+    )
+    def test_non_finite_window_rejected(self, generator, window):
+        key, value = list(window.items())[-1]
+        group = TenantGroup("x", _fleet(generator, "x", 1.0, 0), PROFILE.name)
+        inventory = ClusterInventory(capacity={PROFILE.gpu.name: 2})
+        with pytest.raises(ValueError, match=f"{key} must be .*finite, got {value}"):
+            ClusterSimulator([group], inventory).run(**window)
+        # Rejected before anything was allocated.
+        assert inventory.used.get(PROFILE.gpu.name, 0) == 0
+
     def test_tenant_group_validates_profile(self, generator):
         with pytest.raises(ValueError):
             TenantGroup("x", _fleet(generator, "x", 1.0, 0), "nonsense")

@@ -62,6 +62,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="duration_s"):
             ScenarioSpec.from_dict({"name": "x", "traffic": {"kind": "poisson"}})
 
+    @pytest.mark.parametrize("key", ["duration_s", "warmup_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_window(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be .*finite, got {value}"):
+            ScenarioSpec.from_dict(fleet_spec(**{key: value}))
+
     def test_rejects_unknown_top_level_key(self):
         with pytest.raises(ValueError, match="unknown key.*frobnicate"):
             ScenarioSpec.from_dict(fleet_spec(frobnicate=1))

@@ -225,6 +225,27 @@ class TestFleetEquivalence:
                 [_engine()], ClosedLoopTraffic(1), RoundRobinRouter(), source
             ).run(duration_s=0.0)
 
+    @pytest.mark.parametrize(
+        "window",
+        [
+            {"duration_s": float("nan")},
+            {"duration_s": float("inf")},
+            {"duration_s": 5.0, "warmup_s": float("nan")},
+            {"duration_s": 5.0, "warmup_s": float("inf")},
+        ],
+        ids=["duration-nan", "duration-inf", "warmup-nan", "warmup-inf"],
+    )
+    def test_non_finite_window_rejected(self, generator, window):
+        # NaN passes a plain ``<= 0`` guard and an infinite window never
+        # ends: both must be refused up front, naming the field.
+        key, value = list(window.items())[-1]
+        source = RequestSource(generator, derive_rng(0, "x"), 12_000)
+        fleet = FleetSimulator(
+            [_engine()], ClosedLoopTraffic(1), LeastLoadedRouter(), source
+        )
+        with pytest.raises(ValueError, match=f"{key} must be .*finite, got {value}"):
+            fleet.run(**window)
+
 
 class TestTrafficModels:
     def _drain(self, traffic, source, until):
