@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.hardware.profile import GPUProfile
 from repro.models.llm import LLMSpec
 
@@ -150,6 +152,23 @@ class CostModel:
         """
         if n_seqs < 0 or kv_tokens < 0:
             raise ValueError("n_seqs and kv_tokens must be >= 0")
+        kv_read = kv_tokens * self._decode_kv_bytes / self._effective_bandwidth
+        compute = self._decode_flops * n_seqs / self._decode_compute_denom
+        comm = (
+            self._comm_bytes_per_token * n_seqs / self._comm_bandwidth
+            + self._comm_latency_per_step
+        )
+        return self._decode_weight_read + kv_read + compute + comm + self._step_overhead
+
+    def decode_step_times(self, n_seqs: int, kv_tokens: np.ndarray) -> np.ndarray:
+        """:meth:`decode_step_time` for a run of steps at a fixed batch.
+
+        ``kv_tokens`` holds the KV residency before each step. The
+        expression is the scalar one applied element-wise, with the same
+        operand order, so entry ``i`` equals
+        ``decode_step_time(n_seqs, kv_tokens[i])`` bit for bit — the
+        engine's lookahead kernel depends on that.
+        """
         kv_read = kv_tokens * self._decode_kv_bytes / self._effective_bandwidth
         compute = self._decode_flops * n_seqs / self._decode_compute_denom
         comm = (

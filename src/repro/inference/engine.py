@@ -19,18 +19,21 @@ request's previous token.
 Two implementations of the decode step coexist. The scalar loop (the
 golden oracle, ``fast=False``) walks the active list one request at a
 time; the fast core (``fast=True``, the default) keeps the per-request
-decode state — last-token timestamp, generated count, output target,
-batch size — in parallel numpy arrays and advances the whole batch in
-a handful of array operations. Both paths draw the same single noise
-sample per step and perform the same IEEE-754 double arithmetic
-element-wise, so their outputs are bit-identical on pinned seeds (see
-``tests/test_inference.py`` and the golden pins in
+decode state — last-token timestamp and tokens still to generate — in
+parallel numpy arrays and advances the whole batch in a handful of
+array operations. The fast core also looks ahead: one call may take
+every decode step that starts before a caller-set ``horizon``, as a
+single numpy kernel (see ``_lookahead``). Both paths draw the same
+single noise sample per step and perform the same IEEE-754 double
+arithmetic element-wise, so their outputs are bit-identical on pinned
+seeds (see ``tests/test_inference.py`` and the golden pins in
 ``tests/test_simulation.py``); ``benchmarks/bench_core_speed.py``
 enforces the equality and the speedup.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -44,6 +47,9 @@ from repro.simulation.metrics import MetricsCollector
 from repro.utils.rng import derive_rng
 
 __all__ = ["ContinuousBatchingEngine", "EngineStats"]
+
+#: ``horizon`` when the caller sets none: exactly one step per call.
+_NO_HORIZON = -math.inf
 
 
 @dataclass
@@ -74,7 +80,18 @@ class EngineStats:
 
 
 class ContinuousBatchingEngine:
-    """Single-pod inference server simulator."""
+    """Single-pod inference server simulator.
+
+    ``horizon`` bounds lookahead on the fast core. Before :meth:`step`,
+    the caller may set it to a virtual time before which nothing outside
+    this pod can act on the pod; a decode iteration then runs every
+    decode step that starts before it, capped at the next completion, in
+    that one call. ``horizon_completes`` says whether the
+    run may end with the completing step or must stop one step short of
+    it. :meth:`step` resets ``horizon`` to minus infinity, so without a
+    fresh one each call is a single step, as on the oracle path
+    (``fast=False``), which ignores both.
+    """
 
     def __init__(
         self,
@@ -124,12 +141,12 @@ class ContinuousBatchingEngine:
         # Row i of each array belongs to self._active[i]; the scalar
         # oracle path (fast=False) never touches them and remains the
         # reference implementation the fast path is tested against.
+        # Keep the engine at 28 instance attributes or fewer: from 30
+        # on (29 plus a wrapped ``step``) CPython stops sharing instance
+        # dict keys, which slows every attribute access on the hot path.
         self.fast = bool(fast)
-        self._soa_cap = 64
-        self._soa_last = np.zeros(self._soa_cap)  # last_token_at
-        self._soa_gen = np.zeros(self._soa_cap, dtype=np.int64)  # generated
-        self._soa_out = np.zeros(self._soa_cap, dtype=np.int64)  # output target
-        self._soa_batch = np.zeros(self._soa_cap, dtype=np.int64)  # batch size
+        self._soa_last = np.zeros(64)  # last_token_at
+        self._soa_left = np.zeros(64, dtype=np.int64)  # tokens still to go
         # Incremental mirrors of two per-step reductions: the total
         # sequence count of the active batch, and how many decode steps
         # remain until the *next* completion (every active request gains
@@ -143,6 +160,14 @@ class ContinuousBatchingEngine:
         # path only; the oracle always rescans.
         self._admit_blocked = False
         self._admit_scanned_all = False
+        # Lookahead bound and completion rule (see the class docstring).
+        self.horizon = _NO_HORIZON
+        self.horizon_completes = False
+        # Noise draws taken ahead of use by the lookahead kernel, in
+        # order. The engine's RNG has no other consumer, so drawing a
+        # block and spending it step by step yields the same sequence as
+        # drawing one sample per step.
+        self._noise_spare = np.empty(0)
 
     # ---- public API -----------------------------------------------------
 
@@ -205,7 +230,14 @@ class ContinuousBatchingEngine:
         return bool(self._queue or self._active)
 
     def step(self) -> list[RequestResult]:
-        """Run one scheduler iteration; returns requests completed in it."""
+        """Run one scheduler iteration; returns requests completed in it.
+
+        On the fast core a decode iteration also runs every further
+        decode step that starts before ``horizon`` (capped at the next
+        completion), all in one call; ``stats`` counts each step.
+        """
+        horizon = self.horizon
+        self.horizon = _NO_HORIZON
         if not (self._queue or self._active):
             return []
         self.stats.steps += 1
@@ -213,6 +245,8 @@ class ContinuousBatchingEngine:
             admitted = self._admit()
             if admitted:
                 return self._prefill(admitted)
+        if self.fast:
+            return self._decode_fast(horizon)
         return self._decode()
 
     def itl_samples(self) -> np.ndarray:
@@ -265,7 +299,25 @@ class ContinuousBatchingEngine:
     def _noise(self) -> float:
         if self.noise_sigma <= 0:
             return 1.0
+        spare = self._noise_spare
+        if spare.size:
+            self._noise_spare = spare[1:]
+            return float(spare[0])
         return float(self._rng.lognormal(0.0, self.noise_sigma))
+
+    def _noise_block(self, m: int) -> np.ndarray:
+        """The next ``m`` noise samples, left unspent in the buffer.
+
+        The caller spends the first ``k`` by slicing them off
+        ``_noise_spare``; the rest are served, in order, by later
+        :meth:`_noise` calls and blocks.
+        """
+        spare = self._noise_spare
+        if spare.size < m:
+            fresh = self._rng.lognormal(0.0, self.noise_sigma, m - spare.size)
+            spare = np.concatenate((spare, fresh)) if spare.size else fresh
+            self._noise_spare = spare
+        return spare[:m]
 
     def _admit(self) -> list[_Active]:
         """Admission from the waiting queue under the batch-weight cap.
@@ -346,25 +398,24 @@ class ContinuousBatchingEngine:
 
     def _soa_append(self, row: int, a: _Active) -> None:
         """Mirror a freshly admitted request into the decode arrays."""
-        if row >= self._soa_cap:
-            while self._soa_cap <= row:
-                self._soa_cap *= 2
-            for name in ("_soa_last", "_soa_gen", "_soa_out", "_soa_batch"):
+        if row >= self._soa_last.size:
+            cap = self._soa_last.size
+            while cap <= row:
+                cap *= 2
+            for name in ("_soa_last", "_soa_left"):
                 old = getattr(self, name)
-                grown = np.zeros(self._soa_cap, dtype=old.dtype)
+                grown = np.zeros(cap, dtype=old.dtype)
                 grown[: old.size] = old
                 setattr(self, name, grown)
-        self._soa_last[row] = a.last_token_at
-        self._soa_gen[row] = a.generated
-        self._soa_out[row] = a.request.output_tokens
-        self._soa_batch[row] = a.request.batch_size
-        self._soa_seqs += a.request.batch_size
         left = a.request.output_tokens - a.generated
+        self._soa_last[row] = a.last_token_at
+        self._soa_left[row] = left
+        self._soa_seqs += a.request.batch_size
         if row == 0 or left < self._soa_min_left:
             self._soa_min_left = left
 
-    def _decode_fast(self) -> list[RequestResult]:
-        """Vectorized decode step over the structure-of-arrays mirror.
+    def _decode_fast(self, horizon: float) -> list[RequestResult]:
+        """Vectorized decode over the structure-of-arrays mirror.
 
         Bit-identical to :meth:`_decode` by construction: one noise draw
         per step, ``n_seqs`` is the same exact integer, and the gap
@@ -374,6 +425,10 @@ class ContinuousBatchingEngine:
         operation an element-wise mirror of the scalar statement and
         never reorder reductions — see docs/architecture.md ("Fast core
         vs golden oracle").
+
+        The first step runs as a scalar step. If it completes nothing and
+        ends before ``horizon``, :meth:`_lookahead` runs the steps after
+        it that start before ``horizon``, up to the next completion.
         """
         stats = self.stats
         stats.decode_steps += 1
@@ -394,40 +449,112 @@ class ContinuousBatchingEngine:
         # ``now - a.last_token_at``, minus one array copy per step.
         np.subtract(now, last[:n], out=self.metrics.gap_sink(n))
         last[:n] = now
-        self._soa_gen[:n] += 1
+        self._soa_left[:n] -= 1
         self._kv_tokens += n_seqs
         stats.tokens_generated += n_seqs
-        completed: list[RequestResult] = []
+        self.metrics.record_tokens(n_seqs, now)
         # Every active request gains exactly one token per step, so the
         # smallest remaining-output count drops by exactly one — the
         # done-comparison only needs to run when that countdown hits 0.
         self._soa_min_left -= 1
+        if now < horizon and self._soa_min_left > 0:
+            # Steps left before the next completion, the completing one
+            # included only when the caller allows it.
+            steps = self._soa_min_left - (not self.horizon_completes)
+            if steps > 0:
+                self._lookahead(horizon, steps, dt)
+        completed: list[RequestResult] = []
         if self._soa_min_left <= 0:
-            done = self._soa_gen[:n] >= self._soa_out[:n]
+            now = self._time
+            done = self._soa_left[:n] <= 0
             for i in np.flatnonzero(done):
                 a = self._active[i]
                 # Copy the authoritative array state back before the
                 # result is assembled (still-active rows stay lazily
                 # mirrored — the arrays are the source of truth).
-                a.generated = int(self._soa_gen[i])
+                a.generated = a.request.output_tokens - int(self._soa_left[i])
                 a.last_token_at = now
                 self._soa_seqs -= a.request.batch_size
                 completed.append(self._finish(a))
             keep = ~done
             self._active = [a for a, k in zip(self._active, keep) if k]
             m = len(self._active)
-            for arr in (self._soa_last, self._soa_gen, self._soa_out, self._soa_batch):
+            for arr in (self._soa_last, self._soa_left):
                 arr[:m] = arr[:n][keep]
-            self._soa_min_left = (
-                int((self._soa_out[:m] - self._soa_gen[:m]).min()) if m else 0
-            )
-        self.metrics.record_tokens(n_seqs, now)
+            self._soa_min_left = int(self._soa_left[:m].min()) if m else 0
         return completed
+
+    def _lookahead(self, horizon: float, steps: int, dt: float) -> None:
+        """Run up to ``steps`` more decode steps that start before ``horizon``.
+
+        The horizon is the time of the next event outside this pod that
+        could change what the pod does (an arrival, a control event, the
+        warmup boundary, the end of the window); the caller guarantees
+        ``self._time < horizon``. The batch is fixed over the run, so
+        ``n_seqs`` is constant and the KV residency grows by ``n_seqs``
+        per step. Step times come from :meth:`CostModel.decode_step_times`
+        (the scalar expression element-wise), and the clock and busy time
+        are sequential ``cumsum`` chains — the same additions, in the
+        same order, as one step per call. Each step's gap is the same for
+        every row, ``end - previous end``.
+
+        Work goes in chunks sized from ``dt`` (the last step's length)
+        to the horizon, so a near horizon costs a short chunk; noise
+        samples drawn for steps past the horizon stay buffered.
+        """
+        stats = self.stats
+        n = len(self._active)
+        n_seqs = self._soa_seqs
+        sigma = self.noise_sigma
+        t = self._time
+        taken = 0
+        while steps > 0 and t < horizon:
+            span = (horizon - t) / dt
+            m = steps if span >= steps else min(steps, int(span * 1.05) + 2)
+            kv = self._kv_tokens
+            # Row 0 chains the clock, row 1 the busy time: a start value
+            # followed by the m step times, summed left to right.
+            chain = np.empty((2, m + 1))
+            times = chain[0, 1:]
+            times[:] = self.cost.decode_step_times(
+                n_seqs, np.arange(kv, kv + n_seqs * m, n_seqs, dtype=np.int64)
+            )
+            if sigma > 0:
+                times *= self._noise_block(m)
+            times *= self.slow_factor
+            chain[1, 1:] = times
+            chain[0, 0] = t
+            chain[1, 0] = stats.busy_time_s
+            np.cumsum(chain, axis=1, out=chain)
+            ends = chain[0]
+            # Step i starts at ends[i]; ends[0] < horizon holds already.
+            if ends[m - 1] < horizon:
+                k = m
+            else:
+                k = 1 + int(np.searchsorted(ends[1:m], horizon))
+            if sigma > 0:
+                self._noise_spare = self._noise_spare[k:]
+            gaps = ends[1 : k + 1] - ends[:k]
+            self.metrics.gap_sink(n * k).reshape(k, n)[:] = gaps[:, None]
+            self.metrics.record_token_steps(n_seqs, ends[1 : k + 1])
+            t = float(ends[k])
+            dt = float(gaps[-1])
+            stats.busy_time_s = float(chain[1, k])
+            self._kv_tokens = kv + n_seqs * k
+            taken += k
+            steps -= k
+            if k < m:
+                break
+        self._time = t
+        stats.steps += taken
+        stats.decode_steps += taken
+        stats.tokens_generated += n_seqs * taken
+        self._soa_min_left -= taken
+        self._soa_left[:n] -= taken
+        self._soa_last[:n] = t
 
     def _decode(self) -> list[RequestResult]:
         """One decode step: every active sequence gains one token."""
-        if self.fast:
-            return self._decode_fast()
         self.stats.decode_steps += 1
         n_seqs = sum(a.request.batch_size for a in self._active)
         dt = (

@@ -928,10 +928,17 @@ class ClusterSimulator:
         * the three per-event scans become :class:`ClusterFrontier`
           peeks, whose heap keys replicate the scans' first-minimum and
           fault-before-decision tie-breaks bit-for-bit.
+        * the stepping pod gets the next control event as its lookahead
+          bound (:meth:`FleetSimulator.step_pod`), so it may run several
+          decode steps in one call where the oracle takes one per loop.
         """
         fleets = [group.fleet for group in self.tenants]
         frontier = ClusterFrontier(fleets)
         dirty = set(range(len(fleets)))
+        # Tenants that share a request source draw follow-ups in their
+        # cluster-wide completion order, which a lone pod running through
+        # its completion would reorder: such clusters step singly.
+        lookahead = len({id(fleet.source) for fleet in fleets}) == len(fleets)
         while True:
             if dirty:
                 for index in sorted(dirty):
@@ -962,6 +969,9 @@ class ClusterSimulator:
                 # its work): re-resolve the global frontier (the dirty
                 # tenants are injected first, as the oracle would).
                 continue
-            fleets[index].step_pod(pod)
+            # The next control event anywhere in the cluster bounds the
+            # pod's lookahead: a tick may resize or fault its fleet.
+            until = (t_ctl if t_ctl < t_end else t_end) if lookahead else None
+            fleets[index].step_pod(pod, until)
             frontier.push(index)
             dirty.add(index)

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.utils.checks import check_finite
 from repro.utils.rng import derive_rng
 
 __all__ = ["FAULT_KINDS", "FaultSpec", "FaultEvent", "FaultInjector"]
@@ -79,8 +80,7 @@ class FaultSpec:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; known: {sorted(FAULT_KINDS)}"
             )
-        if self.time_s < 0:
-            raise ValueError(f"fault time_s must be >= 0, got {self.time_s}")
+        check_finite("fault time_s", self.time_s, 0)
         if self.mode not in FAULT_MODES:
             raise ValueError(
                 f"unknown fault mode {self.mode!r}; known: {sorted(FAULT_MODES)}"
@@ -103,15 +103,11 @@ class FaultSpec:
                     "through the capacity ledger instead)"
                 )
         if self.kind == "slowdown":
-            if self.duration_s is None or self.duration_s <= 0:
-                raise ValueError(
-                    f"a slowdown fault needs a positive duration_s, "
-                    f"got {self.duration_s}"
-                )
-            if self.factor is None or self.factor <= 0:
-                raise ValueError(
-                    f"a slowdown fault needs a positive factor, got {self.factor}"
-                )
+            for name in ("duration_s", "factor"):
+                value = getattr(self, name)
+                if value is None:
+                    raise ValueError(f"a slowdown fault needs a positive {name}")
+                check_finite(f"slowdown {name}", value, 0, exclusive=True)
             if self.restart_delay_s is not None:
                 raise ValueError("restart_delay_s does not apply to slowdowns")
         else:
@@ -119,10 +115,8 @@ class FaultSpec:
                 raise ValueError("duration_s only applies to slowdown faults")
             if self.factor is not None:
                 raise ValueError("factor only applies to slowdown faults")
-            if self.restart_delay_s is not None and self.restart_delay_s <= 0:
-                raise ValueError(
-                    f"restart_delay_s must be positive, got {self.restart_delay_s}"
-                )
+            if self.restart_delay_s is not None:
+                check_finite("restart_delay_s", self.restart_delay_s, 0, exclusive=True)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ end routing open-loop or bursty traffic over replicas. The
   the work already routed to them, reject new routes) and retire;
 * the event loop always steps the busy pod with the smallest virtual
   time, so cross-pod causality (an arrival routed at time t can only be
-  influenced by state no later than t) is preserved.
+  influenced by state no later than t) is preserved. On the fast core
+  that pod also runs ahead through every decode step before its next
+  cross-pod event (see :meth:`FleetSimulator.step_pod`).
 
 With a single pod and no autoscaler the loop is step-for-step identical
 to the paper's hand-written closed-loop/open-loop drivers, which is what
@@ -52,6 +54,7 @@ from repro.simulation.results import (
     scale_event_dict,
 )
 from repro.simulation.traffic import RequestSource, TrafficModel
+from repro.utils.checks import check_finite
 
 if TYPE_CHECKING:  # import cycle: the engine itself imports this package
     from repro.inference.engine import ContinuousBatchingEngine
@@ -76,15 +79,9 @@ __all__ = [
 
 
 def check_window(duration_s: float, warmup_s: float) -> None:
-    """Reject a run window that is empty, negative or not finite.
-
-    NaN slips through plain ``<=``/``<`` guards and an infinite window
-    never ends, so both are rejected by name.
-    """
-    if not (math.isfinite(duration_s) and duration_s > 0):
-        raise ValueError(f"duration_s must be positive and finite, got {duration_s}")
-    if not (math.isfinite(warmup_s) and warmup_s >= 0):
-        raise ValueError(f"warmup_s must be >= 0 and finite, got {warmup_s}")
+    """Reject a run window that is empty, negative or not finite."""
+    check_finite("duration_s", duration_s, 0, exclusive=True)
+    check_finite("warmup_s", warmup_s, 0)
 
 
 class Router:
@@ -713,6 +710,13 @@ class FleetSimulator:
         # current on both paths, fast or not. Set in begin() only when
         # the router selects on it; None otherwise.
         self._index: LoadIndex | None = None
+        # Lookahead decode (fast core): the time of the arrival
+        # _inject_due stopped at, and whether a pod may run ahead at all
+        # (see step_pod). Set per run in begin().
+        self._next_arrival = -math.inf
+        self._lookahead = False
+        # Engine steps banked before the warmup reset zeroed the pods'
+        # stats; sim_events adds the live counts on top.
         self._events = 0
         self._wall_start = _time.perf_counter()
 
@@ -840,7 +844,8 @@ class FleetSimulator:
                 # A control event crashed the frontier pod itself (or
                 # evacuated its work): re-resolve the frontier.
                 continue
-            step_pod(stepping)
+            until = t_end if t_end < due else due
+            step_pod(stepping, until)
         self.drain_pending()
         if not assemble_result:
             return None
@@ -871,8 +876,7 @@ class FleetSimulator:
         self.router.reset()
         self._events = 0
         self._wall_start = _time.perf_counter()
-        if self.fast:
-            self._frontier.rebuild(self._in_service())
+        self._reindex()
         if self.autoscaler is not None:
             self.autoscaler.reset()
         self._next_decision = (
@@ -899,6 +903,14 @@ class FleetSimulator:
         self.initial_routed_counts = list(self.routed_counts)
         self._warmup_s = warmup_s
         self._warmed_up = warmup_s == 0.0
+        # Re-routed follow-ups read every pod's load at the instant the
+        # completion happened, which a pod that ran ahead would misstate,
+        # so traffic that makes them steps one event at a time.
+        kind = type(self.traffic)
+        self._lookahead = self.fast and (
+            self.traffic.sticky or kind.on_complete is TrafficModel.on_complete
+        )
+        self._next_arrival = -math.inf
 
     def inject_due(self, cutoff: float) -> None:
         """Materialize every arrival due at this fleet's busy frontier."""
@@ -962,17 +974,48 @@ class FleetSimulator:
             return zone
         return self._zone_of(serial) if self._zone_of is not None else "zone-0"
 
-    def step_pod(self, stepping: "ContinuousBatchingEngine") -> None:
-        """Step the frontier pod once; handle its completions."""
-        self._events += 1
+    def step_pod(
+        self, stepping: "ContinuousBatchingEngine", until: float | None = None
+    ) -> None:
+        """Step the frontier pod; handle its completions.
+
+        ``until`` is the caller's part of the lookahead horizon: the
+        window end and the next control event (fault or autoscale
+        decision) anywhere the caller orders them against this pod. With
+        it, a fast-core fleet lets the pod run, in this one call, every
+        decode step that starts before ``min(until, next arrival, warmup
+        boundary while warming up)`` — no other event of the simulation
+        can reach the pod before then (conservative lookahead, in the
+        Chandy–Misra sense). The run never crosses a completion while
+        other pods are in service: closed-loop follow-ups draw from the
+        shared request source in completion order, so a completing step
+        waits for its turn on the frontier. A lone pod, as in a load
+        test, runs through its completion. No lookahead while a pod
+        drains (retirement is checked after every step) or for traffic
+        whose follow-ups are re-routed. Without ``until`` this is one
+        engine step, as on the oracle path.
+        """
         if not self._warmed_up and stepping.time >= self._warmup_s:
             # Reset every engine ever provisioned, not just the ones
             # still in service: a pod retired before the warmup
             # boundary must not leak its warmup samples into the
-            # merged result either.
+            # merged result either. The reset drops the step counts,
+            # so bank them first (see _result).
             for pod in self._all_pods:
+                self._events += pod.stats.steps
                 pod.reset_metrics()
             self._warmed_up = True
+        if until is not None and self._lookahead and not self._draining:
+            horizon = self._next_arrival
+            if until < horizon:
+                horizon = until
+            pending = self._pending
+            if pending and pending[0][0] < horizon:
+                # Pushed since the last injection (a fault requeue).
+                horizon = pending[0][0]
+            if not self._warmed_up and self._warmup_s < horizon:
+                horizon = self._warmup_s
+            stepping.horizon = horizon
         finished = stepping.step()
         self._completions += len(finished)
         for result in finished:
@@ -1034,6 +1077,11 @@ class FleetSimulator:
             self._index.rebuild()
         if self.fast:
             self._frontier.rebuild(self._in_service())
+        # Lookahead may run through a completion only on a lone pod
+        # (see step_pod), a rule that changes only with the routable set.
+        lone = len(self.pods) == 1
+        for pod in self.pods:
+            pod.horizon_completes = lone
 
     def _inject_due(self, cutoff: float) -> None:
         """Submit every arrival that is due at the current fleet frontier.
@@ -1052,12 +1100,14 @@ class FleetSimulator:
                 t_sched = None
             t_pend = self._pending[0][0] if self._pending else None
             if t_pend is None and t_sched is None:
+                self._next_arrival = math.inf
                 return
             use_pending = t_pend is not None and (t_sched is None or t_pend <= t_sched)
             t = t_pend if use_pending else t_sched
             if self.fast:
                 frontier = self._frontier.peek()
                 if frontier is not None and t > frontier._time:
+                    self._next_arrival = t
                     return
             else:
                 busy_times = [
@@ -1538,7 +1588,9 @@ class FleetSimulator:
             throughput_tokens_per_s=tokens / elapsed,
             pod_seconds=self._pod_seconds,
             cloud_pod_seconds=self._cloud_pod_seconds,
-            sim_events=self._events,
+            # Every engine step, however many one step_pod call took.
+            sim_events=self._events
+            + sum(pod.stats.steps for pod in self._all_pods),
             wall_time_s=_time.perf_counter() - self._wall_start,
             scale_events=list(self.scale_events),
             lost=self.lost,

@@ -176,6 +176,24 @@ class MetricsCollector:
         window = int(now / self.window_s)
         self._window_tokens[window] = self._window_tokens.get(window, 0) + n_tokens
 
+    def record_token_steps(self, n_tokens: int, ends: np.ndarray) -> None:
+        """:meth:`record_tokens` of ``n_tokens`` at each of the sorted ``ends``.
+
+        The window of each end is the scalar ``int(now / window_s)``
+        evaluated element-wise, so the per-window counts equal the
+        one-call-per-step ones.
+        """
+        self.tokens_recorded += n_tokens * len(ends)
+        counts = self._window_tokens
+        first = int(ends[0] / self.window_s)
+        if first == int(ends[-1] / self.window_s):
+            counts[first] = counts.get(first, 0) + n_tokens * len(ends)
+            return
+        windows = (ends / self.window_s).astype(np.int64)
+        keys, steps = np.unique(windows, return_counts=True)
+        for window, k in zip(keys.tolist(), steps.tolist()):
+            counts[window] = counts.get(window, 0) + n_tokens * k
+
     def record_completion(self, result: "RequestResult") -> None:
         self.completed.append(result)
 

@@ -72,6 +72,8 @@ from repro.simulation.traffic import (
 from repro.utils.rng import derive_rng, spawn_seed
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.simulation.cluster import ClusterResult, ClusterSimulator
     from repro.workload.generator import WorkloadGenerator
 
@@ -148,6 +150,35 @@ def _fault_spec(event: dict) -> FaultSpec:
             None if event.get("duration_s") is None else float(event["duration_s"])
         ),
         factor=(None if event.get("factor") is None else float(event["factor"])),
+    )
+
+
+def _scheduled_traffic(
+    kind: str, traffic: dict, rng: np.random.Generator | None
+) -> TrafficModel:
+    """An open-loop model from a traffic mapping without its ``kind``.
+
+    Value checks (positive, finite rates and times) are the model's own
+    contract; validation builds one with ``rng=None``, which no
+    constructor touches.
+    """
+    if kind == "poisson":
+        return PoissonTraffic(float(traffic["rate_per_s"]), rng=rng)
+    if kind == "diurnal":
+        return DiurnalTraffic(
+            float(traffic["rate_per_s"]),
+            rng=rng,
+            amplitude=float(traffic.get("amplitude", 0.8)),
+            period_s=float(traffic.get("period_s", 600.0)),
+            phase_rad=float(traffic.get("phase_rad", 0.0)),
+        )
+    return BurstyTraffic(
+        float(traffic["rate_per_s"]),
+        rng=rng,
+        off_rate_per_s=float(traffic.get("off_rate_per_s", 0.0)),
+        mean_on_s=float(traffic.get("mean_on_s", 20.0)),
+        mean_off_s=float(traffic.get("mean_off_s", 40.0)),
+        start_on=bool(traffic.get("start_on", True)),
     )
 
 
@@ -351,8 +382,13 @@ class ScenarioSpec:
         )
         if kind == "closed" and "users" not in traffic:
             raise ValueError(f"closed-loop traffic in {where} needs 'users'")
-        if kind != "closed" and kind != "replay" and "rate_per_s" not in traffic:
-            raise ValueError(f"{kind} traffic in {where} needs 'rate_per_s'")
+        if kind != "closed" and kind != "replay":
+            if "rate_per_s" not in traffic:
+                raise ValueError(f"{kind} traffic in {where} needs 'rate_per_s'")
+            try:
+                _scheduled_traffic(kind, traffic, rng=None)
+            except ValueError as exc:
+                raise ValueError(f"{where} traffic[{kind}]: {exc}") from exc
         if kind == "replay":
             sources = [k for k in ("path", "arrivals", "trace") if k in traffic]
             if len(sources) != 1:
@@ -598,26 +634,9 @@ class ScenarioSpec:
             return ClosedLoopTraffic(
                 int(traffic["users"]), sticky=bool(traffic.get("sticky", True))
             )
-        if kind == "poisson":
-            return PoissonTraffic(float(traffic["rate_per_s"]), rng=rng)
-        if kind == "diurnal":
-            return DiurnalTraffic(
-                float(traffic["rate_per_s"]),
-                rng=rng,
-                amplitude=float(traffic.get("amplitude", 0.8)),
-                period_s=float(traffic.get("period_s", 600.0)),
-                phase_rad=float(traffic.get("phase_rad", 0.0)),
-            )
-        if kind == "bursty":
-            return BurstyTraffic(
-                float(traffic["rate_per_s"]),
-                rng=rng,
-                off_rate_per_s=float(traffic.get("off_rate_per_s", 0.0)),
-                mean_on_s=float(traffic.get("mean_on_s", 20.0)),
-                mean_off_s=float(traffic.get("mean_off_s", 40.0)),
-                start_on=bool(traffic.get("start_on", True)),
-            )
-        return self._build_replay(traffic, label)
+        if kind == "replay":
+            return self._build_replay(traffic, label)
+        return _scheduled_traffic(kind, traffic, rng)
 
     def _build_replay(self, traffic: dict, label: str) -> ReplayTraffic:
         """Replay traffic: load the log, then apply the spec's transforms."""

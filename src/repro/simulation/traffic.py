@@ -22,6 +22,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.utils.checks import check_finite
+
 if TYPE_CHECKING:  # import cycle: the engine itself imports this package
     from repro.inference.request import InferenceRequest, RequestResult
     from repro.workload.generator import WorkloadGenerator
@@ -192,10 +194,8 @@ class PoissonTraffic(_ScheduledTraffic):
     name = "poisson"
 
     def __init__(self, rate_per_s: float, rng: np.random.Generator) -> None:
-        if rate_per_s <= 0:
-            raise ValueError(f"rate_per_s must be positive, got {rate_per_s}")
         super().__init__(rng)
-        self.rate_per_s = float(rate_per_s)
+        self.rate_per_s = check_finite("rate_per_s", rate_per_s, 0, exclusive=True)
 
     def _first_arrival(self) -> float:
         return float(self._rng.exponential(1.0 / self.rate_per_s))
@@ -222,17 +222,15 @@ class DiurnalTraffic(_ScheduledTraffic):
         period_s: float = 600.0,
         phase_rad: float = 0.0,
     ) -> None:
-        if base_rate_per_s <= 0:
-            raise ValueError(f"base_rate_per_s must be positive, got {base_rate_per_s}")
         if not 0.0 <= amplitude <= 1.0:
             raise ValueError(f"amplitude must be in [0, 1], got {amplitude}")
-        if period_s <= 0:
-            raise ValueError(f"period_s must be positive, got {period_s}")
         super().__init__(rng)
-        self.base_rate_per_s = float(base_rate_per_s)
+        self.base_rate_per_s = check_finite(
+            "base_rate_per_s", base_rate_per_s, 0, exclusive=True
+        )
         self.amplitude = float(amplitude)
-        self.period_s = float(period_s)
-        self.phase_rad = float(phase_rad)
+        self.period_s = check_finite("period_s", period_s, 0, exclusive=True)
+        self.phase_rad = check_finite("phase_rad", phase_rad)
 
     def rate_at(self, t: float) -> float:
         phase = 2.0 * np.pi * t / self.period_s + self.phase_rad
@@ -272,17 +270,13 @@ class BurstyTraffic(_ScheduledTraffic):
         mean_off_s: float = 40.0,
         start_on: bool = True,
     ) -> None:
-        if on_rate_per_s <= 0:
-            raise ValueError(f"on_rate_per_s must be positive, got {on_rate_per_s}")
-        if off_rate_per_s < 0:
-            raise ValueError(f"off_rate_per_s must be >= 0, got {off_rate_per_s}")
-        if mean_on_s <= 0 or mean_off_s <= 0:
-            raise ValueError("state dwell means must be positive")
         super().__init__(rng)
-        self.on_rate_per_s = float(on_rate_per_s)
-        self.off_rate_per_s = float(off_rate_per_s)
-        self.mean_on_s = float(mean_on_s)
-        self.mean_off_s = float(mean_off_s)
+        self.on_rate_per_s = check_finite(
+            "on_rate_per_s", on_rate_per_s, 0, exclusive=True
+        )
+        self.off_rate_per_s = check_finite("off_rate_per_s", off_rate_per_s, 0)
+        self.mean_on_s = check_finite("mean_on_s", mean_on_s, 0, exclusive=True)
+        self.mean_off_s = check_finite("mean_off_s", mean_off_s, 0, exclusive=True)
         self._on = bool(start_on)
         self._state_end: float | None = None
 

@@ -202,6 +202,16 @@ class TestCommands:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_simulate_rejects_non_finite_rate(self, capsys, rate):
+        rc = main(
+            ["simulate", "--requests", "3000", "--traffic", "poisson", "--rate", rate]
+        )
+        assert rc == 2
+        assert f"rate_per_s must be positive and finite, got {rate}" in (
+            capsys.readouterr().err
+        )
+
     def test_simulate_json_schema(self, capsys):
         rc = main(
             ["simulate", "--requests", "3000", "--duration", "10", "--json"]

@@ -90,6 +90,22 @@ class TestFaultSpec:
         with pytest.raises(ValueError, match="factor"):
             FaultSpec(kind="slowdown", time_s=1.0, duration_s=5.0)
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="time_s must be >= 0 and finite, got nan"):
+            FaultSpec(kind="crash", time_s=math.nan)
+
+    def test_infinite_slowdown_duration_rejected(self):
+        with pytest.raises(ValueError, match="duration_s must be positive and finite"):
+            FaultSpec(kind="slowdown", time_s=1.0, duration_s=math.inf, factor=2.0)
+
+    def test_nan_slowdown_factor_rejected(self):
+        with pytest.raises(ValueError, match="factor must be positive and finite"):
+            FaultSpec(kind="slowdown", time_s=1.0, duration_s=5.0, factor=math.nan)
+
+    def test_infinite_restart_delay_rejected(self):
+        with pytest.raises(ValueError, match="restart_delay_s must be positive and finite"):
+            FaultSpec(kind="crash", time_s=1.0, restart_delay_s=math.inf)
+
     def test_crash_rejects_slowdown_knobs(self):
         with pytest.raises(ValueError, match="slowdown"):
             FaultSpec(kind="crash", time_s=1.0, duration_s=5.0)

@@ -7,6 +7,7 @@ from repro.characterization import run_open_loop_test
 from repro.hardware import parse_profile
 from repro.inference import ContinuousBatchingEngine
 from repro.models import get_llm
+from repro.simulation import BurstyTraffic, DiurnalTraffic, PoissonTraffic
 
 LLM = get_llm("Llama-2-13b")
 PROFILE = parse_profile("1xA100-40GB")
@@ -107,3 +108,34 @@ class TestArrivalTimeSubmission:
         assert eng.time == 5.0
         eng.advance_to(1.0)
         assert eng.time == 5.0
+
+
+class TestTrafficValidation:
+    """Every scheduled-traffic knob is finite and in range, by name: NaN
+    passes plain comparisons and an infinite rate or time never ends."""
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda v: PoissonTraffic(v, rng=None), "rate_per_s"),
+            (lambda v: DiurnalTraffic(v, rng=None), "base_rate_per_s"),
+            (lambda v: DiurnalTraffic(1.0, rng=None, period_s=v), "period_s"),
+            (lambda v: DiurnalTraffic(1.0, rng=None, phase_rad=v), "phase_rad"),
+            (lambda v: BurstyTraffic(v, rng=None), "on_rate_per_s"),
+            (lambda v: BurstyTraffic(1.0, rng=None, off_rate_per_s=v), "off_rate_per_s"),
+            (lambda v: BurstyTraffic(1.0, rng=None, mean_on_s=v), "mean_on_s"),
+            (lambda v: BurstyTraffic(1.0, rng=None, mean_off_s=v), "mean_off_s"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, build, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be .*finite, got {value}"):
+            build(value)
+
+    def test_diurnal_nan_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="amplitude"):
+            DiurnalTraffic(1.0, rng=None, amplitude=float("nan"))
+
+    def test_negative_rate_rejected(self):
+        with pytest.raises(ValueError, match="rate_per_s must be positive"):
+            PoissonTraffic(-1.0, rng=None)

@@ -94,6 +94,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="needs 'users'"):
             ScenarioSpec.from_dict(fleet_spec(traffic={"kind": "closed"}))
 
+    @pytest.mark.parametrize(
+        "traffic, field",
+        [
+            ({"kind": "poisson", "rate_per_s": float("inf")}, "rate_per_s"),
+            ({"kind": "diurnal", "rate_per_s": 1.0, "period_s": float("nan")}, "period_s"),
+            ({"kind": "bursty", "rate_per_s": 1.0, "mean_off_s": float("inf")}, "mean_off_s"),
+        ],
+    )
+    def test_rejects_non_finite_traffic_values(self, traffic, field):
+        with pytest.raises(
+            ValueError, match=f"traffic\\[{traffic['kind']}\\]: {field} must be"
+        ):
+            ScenarioSpec.from_dict(fleet_spec(traffic=traffic))
+
     def test_rate_traffic_needs_rate(self):
         with pytest.raises(ValueError, match="needs 'rate_per_s'"):
             ScenarioSpec.from_dict(fleet_spec(traffic={"kind": "bursty"}))
