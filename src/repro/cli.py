@@ -32,6 +32,11 @@ Subcommands mirror the two roles the paper defines (§I):
     (policy, min_pods, max_pods) candidates under a traffic model, score
     each by pod-second bill + SLO penalty, and report the trade curve,
     the chosen config and its savings vs the peak-sized static fleet.
+
+The simulation subcommands compile their flags into a scenario-spec
+mapping (:func:`_scenario_dict`) and build through
+:class:`~repro.simulation.scenario.ScenarioSpec`, the path
+``--scenario FILE`` takes, so a flag run and its spec give one result.
 """
 
 from __future__ import annotations
@@ -72,33 +77,14 @@ from repro.report import render_report
 from repro.simulation import (
     AUTOSCALE_POLICIES,
     ROUTERS,
-    AdmissionController,
-    ArrivalLog,
-    Autoscaler,
-    AutoscaleConfig,
     BurstPolicy,
-    BurstyTraffic,
-    ClosedLoopTraffic,
-    CloudLedger,
-    ClusterInventory,
-    ClusterSimulator,
-    DiurnalTraffic,
-    FaultInjector,
-    FaultSpec,
-    NoOpPolicy,
-    PoissonTraffic,
-    PredictivePolicy,
-    ReplayTraffic,
     ScenarioSpec,
-    TargetUtilizationPolicy,
-    TenantGroup,
-    ThresholdPolicy,
     scenario_path,
     to_json,
 )
+from repro.simulation.scenario import check_fault_event
 from repro.traces import TraceConfig, TraceDataset, TraceSynthesizer
 from repro.utils.parallel import fork_map
-from repro.utils.rng import derive_rng, spawn_seed
 from repro.utils.tables import format_table
 from repro.workload import WorkloadGenerator
 
@@ -224,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument(
         "--no-fast-cluster",
         action="store_true",
-        help="run the O(tenants)-scan oracle cluster loop instead of the "
-        "heap-frontier fast path (bit-identical; for verification)",
+        help="run the full oracle (the O(tenants)-scan cluster loop over "
+        "oracle fleets and engines) instead of the fast path, for inline "
+        "and --scenario runs alike (bit-identical; for verification)",
     )
     _add_workload_args(p_cluster)
     _add_fault_args(p_cluster)
@@ -542,18 +529,6 @@ def _add_cloud_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_cloud_quota(items) -> dict[str, int] | None:
-    if not items:
-        return None
-    quota: dict[str, int] = {}
-    for item in items:
-        gpu, _, count = item.partition("=")
-        if not count or not count.lstrip("-").isdigit():
-            raise ValueError(f"cloud quota spec must be GPU=N, got {item!r}")
-        quota[gpu] = int(count)
-    return quota
-
-
 def _add_json_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--json", action="store_true", help="machine-readable JSON output"
@@ -684,93 +659,176 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _build_traffic(kind: str, param, rng, args):
-    """One traffic model; ``param`` is the user count (closed), the
-    arrival-log path (replay) or the rate/s (everything else)."""
+def _traffic_spec(kind: str, param, args) -> dict:
+    """A spec ``traffic`` mapping; ``param`` is the user count (closed),
+    the arrival-log path (replay) or the rate/s (everything else)."""
     if kind == "closed":
-        return ClosedLoopTraffic(int(param))
-    if kind == "poisson":
-        return PoissonTraffic(float(param), rng=rng)
-    if kind == "diurnal":
-        return DiurnalTraffic(
-            float(param), rng=rng, amplitude=args.amplitude, period_s=args.period
-        )
-    if kind == "bursty":
-        return BurstyTraffic(
-            float(param), rng=rng, mean_on_s=args.mean_on, mean_off_s=args.mean_off
-        )
+        return {"kind": kind, "users": int(param)}
     if kind == "replay":
-        if param is None or param == "":
+        if not param:
             raise ValueError("--traffic replay needs --arrivals FILE")
-        log = param if isinstance(param, ArrivalLog) else ArrivalLog.load(str(param))
-        return ReplayTraffic(
-            log,
-            speedup=getattr(args, "speedup", 1.0),
-            horizon_s=getattr(args, "horizon", None),
+        traffic = {
+            "kind": kind,
+            "path": param,
+            "speedup": getattr(args, "speedup", 1.0),
+        }
+        if getattr(args, "horizon", None) is not None:
+            traffic["horizon_s"] = args.horizon
+        return traffic
+    traffic = {"kind": kind, "rate_per_s": float(param)}
+    if kind == "diurnal":
+        traffic.update(amplitude=args.amplitude, period_s=args.period)
+    elif kind == "bursty":
+        traffic.update(mean_on_s=args.mean_on, mean_off_s=args.mean_off)
+    return traffic
+
+
+def _tenant_spec(text: str, args) -> dict:
+    """``--tenant NAME:LLM:PROFILE:PODS:TRAFFIC:PARAM`` -> a ``tenants`` entry."""
+    parts = text.split(":")
+    if len(parts) != 6:
+        raise ValueError(
+            f"tenant spec must be NAME:LLM:PROFILE:PODS:TRAFFIC:PARAM, got {text!r}"
         )
-    raise ValueError(f"unknown traffic kind {kind!r}")
+    name, llm, profile, pods, kind, param = parts
+    try:
+        return {
+            "name": name,
+            "llm": llm,
+            "profile": profile,
+            "pods": int(pods),
+            "traffic": _traffic_spec(kind, param, args),
+        }
+    except ValueError as exc:
+        raise ValueError(f"tenant spec {text!r}: {exc}") from exc
 
 
-def _traffic_param(args):
-    """The positional knob of the selected traffic kind."""
-    if args.traffic == "closed":
-        return args.users
-    if args.traffic == "replay":
-        return args.arrivals
-    return args.rate
+def _gpu_counts(items: list[str], what: str) -> dict[str, int]:
+    """Repeated ``GPU=N`` flag values -> a ``{gpu: n}`` mapping."""
+    counts: dict[str, int] = {}
+    for item in items:
+        gpu, _, count = item.partition("=")
+        if not count or not count.lstrip("-").isdigit():
+            raise ValueError(f"{what} spec must be GPU=N, got {item!r}")
+        counts[gpu] = int(count)
+    return counts
 
 
-def _make_traffic(args):
-    rng = derive_rng(args.seed, "sim-traffic", args.traffic)
-    return _build_traffic(args.traffic, _traffic_param(args), rng, args)
+#: ``--fault`` option -> (spec ``events`` key, value type).
+_FAULT_OPTIONS = {
+    "pod": ("pod", int),
+    "zone": ("zone", str),
+    "mode": ("mode", str),
+    "restart": ("restart_delay_s", float),
+    "duration": ("duration_s", float),
+    "factor": ("factor", float),
+}
 
 
-_FAULT_OPTIONS = {"pod", "zone", "mode", "restart", "duration", "factor"}
-
-
-def _parse_fault(text: str) -> FaultSpec:
-    """``--fault KIND@TIME[:key=value,...]`` -> a validated FaultSpec."""
+def _parse_fault(text: str) -> dict:
+    """``--fault KIND@TIME[:key=value,...]`` -> a validated spec ``events`` entry."""
     head, _, opts = text.partition(":")
     kind, at, time_s = head.partition("@")
     if not at or not kind or not time_s:
-        raise ValueError(
-            f"fault spec must be KIND@TIME[:key=value,...], got {text!r}"
-        )
-    kwargs = {}
+        raise ValueError(f"fault spec must be KIND@TIME[:key=value,...], got {text!r}")
+    options = {}
     for item in opts.split(",") if opts else []:
         key, eq, value = item.partition("=")
         if not eq or not key:
             raise ValueError(f"fault option must be key=value, got {item!r}")
-        kwargs[key] = value
-    unknown = set(kwargs) - _FAULT_OPTIONS
+        options[key] = value
+    unknown = set(options) - set(_FAULT_OPTIONS)
     if unknown:
         raise ValueError(
             f"unknown fault option(s) in {text!r}: {sorted(unknown)}; "
             f"allowed: {sorted(_FAULT_OPTIONS)}"
         )
-    return FaultSpec(
-        kind=kind,
-        time_s=float(time_s),
-        pod=int(kwargs["pod"]) if "pod" in kwargs else None,
-        zone=kwargs.get("zone"),
-        mode=kwargs.get("mode", "requeue"),
-        restart_delay_s=float(kwargs["restart"]) if "restart" in kwargs else None,
-        duration_s=float(kwargs["duration"]) if "duration" in kwargs else None,
-        factor=float(kwargs["factor"]) if "factor" in kwargs else None,
-    )
+    label = f"--fault {text!r}"
+    try:
+        event = {"kind": kind, "time_s": float(time_s)}
+        for key, value in options.items():
+            spec_key, cast = _FAULT_OPTIONS[key]
+            event[spec_key] = cast(value)
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from exc
+    check_fault_event(event, label)
+    return event
 
 
-def _make_faults(args, label: object) -> FaultInjector | None:
-    """One injector from the ``--fault`` flags (None without any).
+def _scenario_dict(args) -> dict:
+    """The scenario-spec mapping a flag run stands for.
 
-    Seeded per fleet/tenant label so cluster tenants sharing one flag
-    set draw independent, reproducible victims — mirroring how scenario
-    files seed their injectors.
+    Every flag maps onto a spec key (see docs/cli.md), so a flag run and
+    ``--scenario`` on this mapping written to a file print the same
+    result. A fleet is named after its traffic kind; the name labels its
+    seeded request and arrival streams.
     """
-    if not args.faults:
-        return None
-    specs = [_parse_fault(text) for text in args.faults]
-    return FaultInjector(specs, seed=spawn_seed(args.seed, "cli-faults", label))
+    workload = {"traces": args.traces} if args.traces else {"requests": args.requests}
+    spec = {
+        "seed": args.seed,
+        "duration_s": args.duration,
+        "warmup_s": args.warmup,
+        "max_batch_weight": args.max_batch_weight,
+        "workload": workload,
+        "router": args.router,
+    }
+    if args.command == "cluster-sim":
+        if not args.tenants or not args.capacity:
+            raise ValueError(
+                "cluster-sim needs --tenant and --capacity (or --scenario)"
+            )
+        spec["name"] = args.command
+        spec["tenants"] = [_tenant_spec(text, args) for text in args.tenants]
+        spec["capacity"] = _gpu_counts(args.capacity, "capacity")
+        if args.cloud:
+            cloud = {
+                "mode": args.cloud_mode,
+                "spot_interruptions_per_hour": args.cloud_spot_rate,
+                "seed": args.cloud_seed,
+            }
+            if args.cloud_quota:
+                cloud["quota"] = _gpu_counts(args.cloud_quota, "cloud quota")
+            if args.max_cloud_pods is not None:
+                cloud["max_cloud_pods"] = args.max_cloud_pods
+            spec["cloud"] = cloud
+    else:
+        param = {"closed": args.users, "replay": args.arrivals}.get(
+            args.traffic, args.rate
+        )
+        spec.update(
+            name=args.traffic,
+            llm=args.llm,
+            profile=args.profile,
+            traffic=_traffic_spec(args.traffic, param, args),
+        )
+        if hasattr(args, "pods"):
+            spec["pods"] = args.pods
+    if hasattr(args, "policy"):  # autoscale, cluster-sim
+        spec["slo_ttft_ms"] = args.slo_ttft_ms
+        if args.policy != "none":
+            autoscaler = {
+                "policy": args.policy,
+                "min_pods": args.min_pods,
+                "max_pods": args.max_pods,
+                "interval_s": args.interval,
+                "cold_start_s": args.cold_start,
+                "metrics_window_s": args.metrics_window,
+            }
+            if args.policy == "target-utilization":
+                autoscaler["target"] = args.target_util
+            elif args.policy == "predictive":
+                autoscaler["requests_per_pod_per_s"] = args.pod_rate
+            spec["autoscaler"] = autoscaler
+        if args.admission != "off":
+            spec["admission"] = {
+                "mode": args.admission,
+                "window_s": args.metrics_window,
+            }
+    if getattr(args, "faults", None) or getattr(args, "zones", 1) != 1:
+        spec["faults"] = {"zones": args.zones}
+        if args.faults:
+            spec["faults"]["events"] = [_parse_fault(text) for text in args.faults]
+    return spec
 
 
 def _reject_faults_with_scenario(args) -> None:
@@ -781,66 +839,62 @@ def _reject_faults_with_scenario(args) -> None:
         )
 
 
-def _cmd_simulate(args) -> int:
+def _fleet_spec(args) -> ScenarioSpec:
+    """The fleet scenario of a ``simulate``/``autoscale`` run: the
+    ``--scenario``/``--scenario-name`` file, else the compiled flags."""
+    path = getattr(args, "scenario", None)
+    if getattr(args, "scenario_name", None):
+        if path:
+            raise ValueError("--scenario and --scenario-name are mutually exclusive")
+        path = str(scenario_path(args.scenario_name))
+    if not path:
+        return ScenarioSpec.from_dict(_scenario_dict(args))
+    _reject_faults_with_scenario(args)
+    spec = ScenarioSpec.load(path)
+    if spec.is_cluster:
+        raise ValueError(
+            f"scenario {spec.name!r} declares tenants; run it with "
+            "cluster-sim --scenario"
+        )
+    return spec
+
+
+def _cmd_fleet(args) -> int:
+    """``simulate`` and ``autoscale``: build, run and report one fleet."""
     try:
-        if args.scenario_name:
-            if args.scenario:
-                raise ValueError(
-                    "--scenario and --scenario-name are mutually exclusive"
-                )
-            args.scenario = str(scenario_path(args.scenario_name))
-        if args.scenario:
-            # Building (spec parsing, unknown LLM/profile, missing log
-            # files) is user input and belongs inside the error handler;
-            # running and the conservation check happen after it, so a
-            # simulator bug surfaces as a traceback, not "error:".
-            _reject_faults_with_scenario(args)
-            spec = ScenarioSpec.load(args.scenario)
-            if spec.is_cluster:
-                raise ValueError(
-                    f"scenario {spec.name!r} declares tenants; run it with "
-                    "cluster-sim --scenario"
-                )
-            fleet = spec.build_fleet()
-            label, pods = spec.llm, spec.pods
-            profile_name = spec.profile
-        else:
-            traces = _load_or_make_traces(args)
-            generator = WorkloadGenerator.fit(traces)
-            llm = get_llm(args.llm)
-            profile = parse_profile(args.profile)
-            deployment = Deployment(
-                llm=llm,
-                profile=profile,
-                n_pods=args.pods,
-                max_batch_weight=args.max_batch_weight,
-                generator=generator,
-                seed=args.seed,
-                n_zones=args.zones,
-            )
-            res = deployment.simulate(
-                _make_traffic(args),
-                duration_s=args.duration,
-                router=ROUTERS[args.router](),
-                warmup_s=args.warmup,
-                stream_label=args.traffic,
-                faults=_make_faults(args, args.traffic),
-            )
-            label, pods = llm.name, args.pods
-            profile_name = profile.name
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.scenario:
+        # Spec parsing, unknown LLM/profile, missing files and a fault
+        # that leaves nothing to serve are user input; the conservation
+        # check runs after the handler, so a simulator bug surfaces as a
+        # traceback, not "error:".
+        spec = _fleet_spec(args)
+        fleet = spec.build_fleet()
         res = fleet.run(
             duration_s=spec.duration_s, warmup_s=spec.warmup_s, keep_samples=True
         )
-        # A conservation violation is a simulator bug and should surface
-        # as a traceback, not "error:".
-        res.verify_conservation()
+    except (KeyError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    res.verify_conservation()
+    slo_s = None if spec.slo_ttft_ms is None else spec.slo_ttft_ms / 1e3
     if args.json:
-        print(to_json(res))
+        print(to_json(res, slo_p95_ttft_s=slo_s))
         return 0
+    if fleet.autoscaler is None:
+        _print_fleet(spec, res)
+    else:
+        _print_autoscaled(spec, fleet.autoscaler.policy.name, res)
+    _print_fault_summary(res)
+    recovery = None if slo_s is None else res.recovery_time_s(slo_s)
+    if recovery is not None:
+        if np.isfinite(recovery):
+            shown = f"{recovery:.0f}s"
+        else:
+            shown = "never (p95 did not re-enter the SLO)"
+        print(f"  recovery after worst disruption: {shown}")
+    return 0
+
+
+def _print_fleet(spec: ScenarioSpec, res) -> None:
     rows = [
         [
             p.pod,
@@ -869,7 +923,7 @@ def _cmd_simulate(args) -> int:
             rows,
             floatfmt=".3f",
             title=(
-                f"{label} on {pods}x {profile_name} — "
+                f"{spec.llm} on {spec.pods}x {spec.profile} — "
                 f"{res.traffic} traffic, {res.router} routing, "
                 f"{res.duration_s:.0f}s window:"
             ),
@@ -882,85 +936,9 @@ def _cmd_simulate(args) -> int:
         f"{res.ttft.p99_s:.3f}s | ITL p50/p95/p99 {res.itl.median_s:.4f}/"
         f"{res.itl.p95_s:.4f}/{res.itl.p99_s:.4f}s"
     )
-    _print_fault_summary(res)
-    return 0
 
 
-def _print_fault_summary(res) -> None:
-    if not res.fault_events:
-        return
-    shown = ", ".join(
-        f"{e.kind}@{e.time_s:.0f}s" for e in res.fault_events[:6]
-    ) + (", ..." if len(res.fault_events) > 6 else "")
-    print(
-        f"Faults: {len(res.fault_events)} event(s) [{shown}] | "
-        f"{res.requeued} requests requeued, {res.lost} lost"
-    )
-
-
-def _make_policy(args):
-    if args.policy == "threshold":
-        return ThresholdPolicy(slo_p95_ttft_s=args.slo_ttft_ms / 1e3)
-    if args.policy == "target-utilization":
-        return TargetUtilizationPolicy(target=args.target_util)
-    if args.policy == "predictive":
-        return PredictivePolicy(
-            requests_per_pod_per_s=args.pod_rate, horizon_s=args.cold_start
-        )
-    return NoOpPolicy()
-
-
-def _cmd_autoscale(args) -> int:
-    traces = _load_or_make_traces(args)
-    generator = WorkloadGenerator.fit(traces)
-    try:
-        llm = get_llm(args.llm)
-        profile = parse_profile(args.profile)
-        deployment = Deployment(
-            llm=llm,
-            profile=profile,
-            n_pods=args.pods,
-            max_batch_weight=args.max_batch_weight,
-            generator=generator,
-            seed=args.seed,
-            n_zones=args.zones,
-        )
-        autoscaler = Autoscaler(
-            _make_policy(args),
-            AutoscaleConfig(
-                decision_interval_s=args.interval,
-                min_pods=args.min_pods,
-                max_pods=args.max_pods,
-                cold_start_s=args.cold_start,
-                metrics_window_s=args.metrics_window,
-            ),
-        )
-        router = ROUTERS[args.router]()
-        if args.admission != "off":
-            router = AdmissionController(
-                router,
-                slo_p95_ttft_s=args.slo_ttft_ms / 1e3,
-                window_s=args.metrics_window,
-                mode=args.admission,
-            )
-        res = deployment.simulate(
-            _make_traffic(args),
-            duration_s=args.duration,
-            router=router,
-            warmup_s=args.warmup,
-            stream_label=args.traffic,
-            autoscaler=autoscaler,
-            faults=_make_faults(args, args.traffic),
-        )
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # Outside the user-input error handler: a conservation violation is
-    # a simulator bug and should surface as a traceback, not "error:".
-    res.verify_conservation()
-    if args.json:
-        print(to_json(res, slo_p95_ttft_s=args.slo_ttft_ms / 1e3))
-        return 0
+def _print_autoscaled(spec: ScenarioSpec, policy: str, res) -> None:
     if res.scale_events:
         rows = [
             [f"{e.time_s:.0f}", e.direction, e.from_pods, e.to_pods, e.reason]
@@ -970,16 +948,16 @@ def _cmd_autoscale(args) -> int:
             format_table(
                 ["t(s)", "dir", "from", "to", "reason"],
                 rows,
-                title=f"Scale events ({autoscaler.policy.name} policy):",
+                title=f"Scale events ({policy} policy):",
             )
         )
     else:
-        print(f"No scale events ({autoscaler.policy.name} policy).")
+        print(f"No scale events ({policy} policy).")
     states = [p.state for p in res.per_pod]
     print(
-        f"\n{llm.name} on {profile.name} — {res.traffic} traffic, "
+        f"\n{spec.llm} on {spec.profile} — {res.traffic} traffic, "
         f"{res.router} routing, {res.duration_s:.0f}s window:\n"
-        f"  pods: {args.pods} initial -> {res.n_pods} serving at end "
+        f"  pods: {spec.pods} initial -> {res.n_pods} serving at end "
         f"({len(states)} provisioned overall, "
         f"{states.count('retired')} retired, "
         f"{states.count('draining')} draining); "
@@ -991,63 +969,17 @@ def _cmd_autoscale(args) -> int:
         f"TTFT p50/p95/p99 {res.ttft.median_s:.3f}/{res.ttft.p95_s:.3f}/"
         f"{res.ttft.p99_s:.3f}s | ITL p95 {res.itl.p95_s:.4f}s"
     )
-    _print_fault_summary(res)
-    recovery = res.recovery_time_s(args.slo_ttft_ms / 1e3)
-    if recovery is not None:
-        print(
-            "  recovery after worst disruption: "
-            + (f"{recovery:.0f}s" if np.isfinite(recovery) else "never (p95 "
-               "did not re-enter the SLO)")
-        )
-    return 0
 
 
-def _parse_tenant_group(spec: str, args, generator) -> TenantGroup:
-    parts = spec.split(":")
-    if len(parts) != 6:
-        raise ValueError(
-            f"tenant spec must be NAME:LLM:PROFILE:PODS:TRAFFIC:PARAM, got {spec!r}"
-        )
-    name, llm_name, profile_name, pods, kind, param = parts
-    deployment = Deployment(
-        llm=get_llm(llm_name),
-        profile=parse_profile(profile_name),
-        n_pods=int(pods),
-        max_batch_weight=args.max_batch_weight,
-        generator=generator,
-        seed=args.seed,
-        n_zones=args.zones,
-    )
-    router = ROUTERS[args.router]()
-    if args.admission != "off":
-        router = AdmissionController(
-            router,
-            slo_p95_ttft_s=args.slo_ttft_ms / 1e3,
-            window_s=args.metrics_window,
-            mode=args.admission,
-        )
-    autoscaler = None
-    if args.policy != "none":
-        autoscaler = Autoscaler(
-            _make_policy(args),
-            AutoscaleConfig(
-                decision_interval_s=args.interval,
-                min_pods=args.min_pods,
-                max_pods=args.max_pods,
-                cold_start_s=args.cold_start,
-                metrics_window_s=args.metrics_window,
-            ),
-        )
-    traffic = _build_traffic(
-        kind, param, derive_rng(args.seed, "cluster-traffic", name), args
-    )
-    return deployment.tenant_group(
-        name,
-        traffic,
-        router=router,
-        autoscaler=autoscaler,
-        slo_p95_ttft_s=args.slo_ttft_ms / 1e3,
-        faults=_make_faults(args, name),
+def _print_fault_summary(res) -> None:
+    if not res.fault_events:
+        return
+    shown = ", ".join(
+        f"{e.kind}@{e.time_s:.0f}s" for e in res.fault_events[:6]
+    ) + (", ..." if len(res.fault_events) > 6 else "")
+    print(
+        f"Faults: {len(res.fault_events)} event(s) [{shown}] | "
+        f"{res.requeued} requests requeued, {res.lost} lost"
     )
 
 
@@ -1075,50 +1007,19 @@ def _cmd_cluster_sim(args) -> int:
                         "simulate --scenario"
                     )
                 specs.append(spec)
-
-            # Build + run inside the handler (an initial allocation that
-            # does not fit the inventory is a user error); conservation
-            # is verified outside it, like the flag path below. Worker
-            # errors propagate out of fork_map into the same handler.
-            def run_spec(spec):
-                sim = spec.build_cluster()
-                return sim.run(duration_s=spec.duration_s, warmup_s=spec.warmup_s)
-
-            names = [spec.name for spec in specs]
-            results = fork_map(run_spec, specs, args.jobs)
         else:
-            if not args.tenants or not args.capacity:
-                raise ValueError(
-                    "cluster-sim needs --tenant and --capacity (or --scenario)"
-                )
-            traces = _load_or_make_traces(args)
-            generator = WorkloadGenerator.fit(traces)
-            capacity = {}
-            for item in args.capacity:
-                gpu, _, count = item.partition("=")
-                if not count:
-                    raise ValueError(f"capacity spec must be GPU=N, got {item!r}")
-                capacity[gpu] = int(count)
-            groups = [_parse_tenant_group(s, args, generator) for s in args.tenants]
-            cloud = burst = None
-            if args.cloud:
-                catalog = aws_like_cloud_catalog(
-                    quota_gpus=_parse_cloud_quota(args.cloud_quota),
-                    spot_interruptions_per_hour=args.cloud_spot_rate,
-                )
-                cloud = CloudLedger(catalog, seed=args.cloud_seed)
-                burst = BurstPolicy(
-                    mode=args.cloud_mode, max_cloud_pods=args.max_cloud_pods
-                )
-            sim = ClusterSimulator(
-                groups,
-                ClusterInventory(capacity=capacity),
-                fast=not args.no_fast_cluster,
-                cloud=cloud,
-                burst=burst,
-            )
-            names = [None]
-            results = [sim.run(duration_s=args.duration, warmup_s=args.warmup)]
+            specs = [ScenarioSpec.from_dict(_scenario_dict(args))]
+        fast = not args.no_fast_cluster
+
+        # Build + run inside the handler (an initial allocation that
+        # does not fit the inventory is a user error); conservation is
+        # verified outside it. Worker errors propagate out of fork_map
+        # into the same handler.
+        def run_spec(spec):
+            sim = spec.build_cluster(fast=fast)
+            return sim.run(duration_s=spec.duration_s, warmup_s=spec.warmup_s)
+
+        results = fork_map(run_spec, specs, args.jobs)
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1126,6 +1027,7 @@ def _cmd_cluster_sim(args) -> int:
     # a simulator bug and should surface as a traceback, not "error:".
     for res in results:
         res.verify_conservation()
+    names = [spec.name for spec in specs]
     pricing = aws_like_pricing()
     if args.json:
         # One serialization path for every simulation result: the
@@ -1299,19 +1201,18 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_recommend_elastic(args) -> int:
-    traces = _load_or_make_traces(args)
-    generator = WorkloadGenerator.fit(traces)
     slo_s = args.slo_ttft_ms / 1e3
     try:
-        llm = get_llm(args.llm)
-        profile = parse_profile(args.profile)
+        spec = ScenarioSpec.from_dict(_scenario_dict(args))
+        llm = get_llm(spec.llm)
+        profile = parse_profile(spec.profile)
         deployment = Deployment(
             llm=llm,
             profile=profile,
             n_pods=1,
-            max_batch_weight=args.max_batch_weight,
-            generator=generator,
-            seed=args.seed,
+            max_batch_weight=spec.max_batch_weight,
+            generator=spec.build_generator(),
+            seed=spec.seed,
         )
         penalty_cls = LinearSLOPenalty if args.penalty == "linear" else StepSLOPenalty
         if args.on_prem_pods < 0:
@@ -1327,38 +1228,26 @@ def _cmd_recommend_elastic(args) -> int:
                 penalty_per_shed=args.penalty_per_shed,
             ),
             cloud=aws_like_cloud_catalog(
-                quota_gpus=_parse_cloud_quota(args.cloud_quota)
+                quota_gpus=_gpu_counts(args.cloud_quota or [], "cloud quota")
             )
             if hybrid
             else None,
             cloud_mode=args.cloud_mode,
         )
-        traffic_param = _traffic_param(args)
-        if args.traffic == "replay":
-            # Parse the recorded log once; every candidate replays the
-            # same in-memory ArrivalLog (ReplayTraffic never mutates it).
-            if not traffic_param:
-                raise ValueError("--traffic replay needs --arrivals FILE")
-            traffic_param = ArrivalLog.load(traffic_param)
         recommender = ElasticRecommender(
             deployment,
             # A fresh, identically seeded traffic model per candidate:
             # the sweep is a controlled experiment over one arrival log.
-            lambda: _build_traffic(
-                args.traffic,
-                traffic_param,
-                derive_rng(args.seed, "elastic-traffic", args.traffic),
-                args,
-            ),
+            lambda: spec.build_traffic(label=spec.name),
             objective,
             slo_p95_ttft_s=slo_s,
-            duration_s=args.duration,
-            warmup_s=args.warmup,
+            duration_s=spec.duration_s,
+            warmup_s=spec.warmup_s,
             decision_interval_s=args.interval,
             cold_start_s=args.cold_start,
             metrics_window_s=args.metrics_window,
             router_factory=lambda: ROUTERS[args.router](),
-            stream_label=args.traffic,
+            stream_label=spec.name,
             cache_arrivals=not args.no_arrival_cache,
             on_prem_pods=args.on_prem_pods or None,
             burst=BurstPolicy(
@@ -1432,8 +1321,8 @@ _COMMANDS = {
     "characterize": _cmd_characterize,
     "recommend": _cmd_recommend,
     "info": _cmd_info,
-    "simulate": _cmd_simulate,
-    "autoscale": _cmd_autoscale,
+    "simulate": _cmd_fleet,
+    "autoscale": _cmd_fleet,
     "cluster-sim": _cmd_cluster_sim,
     "report": _cmd_report,
     "recommend-elastic": _cmd_recommend_elastic,

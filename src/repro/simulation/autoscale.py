@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.simulation.fleet import Router, ScaleEvent
 from repro.simulation.frontier import LoadIndex
+from repro.utils.checks import check_finite
 
 if TYPE_CHECKING:  # import cycle: the engine itself imports this package
     from repro.inference.engine import ContinuousBatchingEngine
@@ -276,22 +277,15 @@ class AutoscaleConfig:
     metrics_window_s: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.decision_interval_s <= 0:
-            raise ValueError(
-                f"decision_interval_s must be positive, got {self.decision_interval_s}"
-            )
+        check_finite("decision_interval_s", self.decision_interval_s, 0, exclusive=True)
         if self.min_pods < 1:
             raise ValueError(f"min_pods must be >= 1, got {self.min_pods}")
         if self.max_pods < self.min_pods:
             raise ValueError(
                 f"max_pods {self.max_pods} must be >= min_pods {self.min_pods}"
             )
-        if self.cold_start_s < 0:
-            raise ValueError(f"cold_start_s must be >= 0, got {self.cold_start_s}")
-        if self.metrics_window_s <= 0:
-            raise ValueError(
-                f"metrics_window_s must be positive, got {self.metrics_window_s}"
-            )
+        check_finite("cold_start_s", self.cold_start_s, 0)
+        check_finite("metrics_window_s", self.metrics_window_s, 0, exclusive=True)
 
 
 class Autoscaler:

@@ -1314,6 +1314,14 @@ class FleetSimulator:
         if crashed:
             if restart is not None:
                 self._starting.sort(key=lambda e: (e[0], e[1]))
+            if not self.pods and self._draining:
+                # The crash took the last routable pod while healthy
+                # pods still drain: the newest of them returns to
+                # service (its capacity was never released) instead of
+                # every later arrival waiting or the run aborting.
+                pod = self._draining.pop()
+                self.pods.append(pod)
+                self._routable.add(self._serials[id(pod)])
             self._reindex()
         else:
             # Nothing in service matched (empty zone, pod already gone):

@@ -69,6 +69,7 @@ from repro.simulation.traffic import (
     PoissonTraffic,
     TrafficModel,
 )
+from repro.utils.checks import check_finite
 from repro.utils.rng import derive_rng, spawn_seed
 
 if TYPE_CHECKING:
@@ -77,7 +78,7 @@ if TYPE_CHECKING:
     from repro.simulation.cluster import ClusterResult, ClusterSimulator
     from repro.workload.generator import WorkloadGenerator
 
-__all__ = ["ScenarioSpec", "load_scenario"]
+__all__ = ["ScenarioSpec", "check_fault_event", "load_scenario"]
 
 _TOP_KEYS = set(
     "name seed duration_s warmup_s llm profile pods max_batch_weight "
@@ -151,6 +152,31 @@ def _fault_spec(event: dict) -> FaultSpec:
         ),
         factor=(None if event.get("factor") is None else float(event["factor"])),
     )
+
+
+def check_fault_event(event: dict, label: str) -> None:
+    """Validate one ``faults.events`` entry; errors are prefixed ``label``."""
+    if not isinstance(event, dict) or "kind" not in event:
+        raise ValueError(f"{label} needs a mapping with a 'kind'")
+    kind = event["kind"]
+    if kind not in _FAULT_EVENT_KEYS:
+        raise ValueError(
+            f"unknown fault kind {kind!r} in {label}; "
+            f"known: {sorted(_FAULT_EVENT_KEYS)}"
+        )
+    _check_keys(
+        {k: v for k, v in event.items() if k != "kind"},
+        _FAULT_EVENT_KEYS[kind],
+        label,
+    )
+    if "time_s" not in event:
+        raise ValueError(f"{label} needs a time_s")
+    try:
+        # Field semantics (pod-vs-zone targeting, slowdown knobs,
+        # positive delays) are FaultSpec's own contract.
+        _fault_spec(event)
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from exc
 
 
 def _scheduled_traffic(
@@ -341,11 +367,17 @@ class ScenarioSpec:
             if section is not None:
                 check(_check_keys, section, _AUTOSCALER_KEYS, "autoscaler")
                 policy = section.get("policy", "threshold")
-                require(
-                    policy in AUTOSCALE_POLICIES,
-                    f"unknown autoscaler policy {policy!r}; "
-                    f"known: {sorted(AUTOSCALE_POLICIES)}",
-                )
+                if policy not in AUTOSCALE_POLICIES:
+                    errors.append(
+                        f"unknown autoscaler policy {policy!r}; "
+                        f"known: {sorted(AUTOSCALE_POLICIES)}"
+                    )
+                    continue
+                try:
+                    # Value checks are the policy's and AutoscaleConfig's.
+                    self._build_autoscaler(section)
+                except (TypeError, ValueError) as exc:
+                    errors.append(f"autoscaler: {exc}")
         for router in (self.router, *(t.get("router") for t in self.tenants)):
             if router is None:
                 continue
@@ -380,8 +412,15 @@ class ScenarioSpec:
             _TRAFFIC_KEYS[kind],
             f"{where} traffic[{kind}]",
         )
-        if kind == "closed" and "users" not in traffic:
-            raise ValueError(f"closed-loop traffic in {where} needs 'users'")
+        if kind == "closed":
+            if "users" not in traffic:
+                raise ValueError(f"closed-loop traffic in {where} needs 'users'")
+            try:
+                users = check_finite("users", float(traffic["users"]), 1)
+                if users != int(users):
+                    raise ValueError(f"users must be a whole number, got {users}")
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"closed-loop traffic in {where}: {exc}") from exc
         if kind != "closed" and kind != "replay":
             if "rate_per_s" not in traffic:
                 raise ValueError(f"{kind} traffic in {where} needs 'rate_per_s'")
@@ -415,28 +454,7 @@ class ScenarioSpec:
         if not isinstance(events, list):
             raise ValueError(f"{where} events must be a list, got {type(events)}")
         for i, event in enumerate(events):
-            label = f"{where} event[{i}]"
-            if not isinstance(event, dict) or "kind" not in event:
-                raise ValueError(f"{label} needs a mapping with a 'kind'")
-            kind = event["kind"]
-            if kind not in _FAULT_EVENT_KEYS:
-                raise ValueError(
-                    f"unknown fault kind {kind!r} in {label}; "
-                    f"known: {sorted(_FAULT_EVENT_KEYS)}"
-                )
-            _check_keys(
-                {k: v for k, v in event.items() if k != "kind"},
-                _FAULT_EVENT_KEYS[kind],
-                label,
-            )
-            if "time_s" not in event:
-                raise ValueError(f"{label} needs a time_s")
-            try:
-                # Field semantics (pod-vs-zone targeting, slowdown knobs,
-                # positive delays) are FaultSpec's own contract.
-                _fault_spec(event)
-            except ValueError as exc:
-                raise ValueError(f"{label}: {exc}") from exc
+            check_fault_event(event, f"{where} event[{i}]")
 
     def _validate_expectations(self) -> None:
         """The ``expectations`` section, when present, is a mapping of

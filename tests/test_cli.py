@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+import repro.cli as cli
 from repro.characterization import PerfDataset
 from repro.cli import build_parser, main
+from repro.simulation import ClusterSimulator
 from repro.traces import TraceDataset
 
 
@@ -550,3 +552,215 @@ class TestScenarioNameFlag:
         rc = main(["simulate", "--scenario", "does-not-exist.yaml"])
         assert rc == 2
         assert "does-not-exist.yaml" in capsys.readouterr().err
+
+
+def _compile(argv, tmp_path):
+    """Write the scenario a flag run compiles to; return its path."""
+    path = tmp_path / "compiled.json"
+    path.write_text(json.dumps(cli._scenario_dict(build_parser().parse_args(argv))))
+    return str(path)
+
+
+def _json_out(argv, capsys):
+    assert main(argv + ["--json"]) == 0
+    return capsys.readouterr().out
+
+
+class TestFlagsCompileToScenario:
+    """Flags are one way to write a scenario spec: a flag run prints
+    byte for byte what --scenario prints for its compiled mapping."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--requests", "3000", "--duration", "20"],
+            [
+                "simulate", "--requests", "3000", "--pods", "4",
+                "--zones", "2", "--duration", "20", "--rate", "3",
+                "--fault", "zone-outage@6:zone=zone-1,restart=5",
+                "--fault", "slowdown@3:duration=4,factor=3",
+            ],
+            [
+                "simulate", "--requests", "3000", "--traffic", "diurnal",
+                "--rate", "3", "--amplitude", "0.5", "--period", "20",
+                "--duration", "20", "--router", "weight-aware",
+            ],
+            [
+                "simulate", "--requests", "3000", "--traffic", "closed",
+                "--users", "4", "--duration", "10", "--warmup", "2",
+            ],
+            [
+                "autoscale", "--requests", "3000", "--duration", "40",
+                "--rate", "4", "--policy", "predictive", "--pod-rate", "1",
+                "--admission", "defer", "--interval", "5", "--zones", "2",
+                "--fault", "crash@10:restart=8",
+            ],
+            [
+                "autoscale", "--requests", "3000", "--duration", "30",
+                "--traffic", "bursty", "--rate", "6", "--mean-on", "5",
+                "--policy", "target-utilization", "--target-util", "0.3",
+                "--admission", "shed", "--metrics-window", "10",
+                "--fault", "crash@8:mode=lose",
+            ],
+        ],
+        ids=["defaults", "faults-zones", "diurnal", "closed", "autoscale",
+             "autoscale-shed"],
+    )
+    def test_fleet_flag_run_equals_compiled_scenario(self, argv, tmp_path, capsys):
+        path = _compile(argv, tmp_path)
+        flag_out = _json_out(argv, capsys)
+        assert _json_out(["simulate", "--scenario", path], capsys) == flag_out
+
+    def test_replay_flags_compile(self, tmp_path, capsys):
+        log = tmp_path / "arrivals.csv"
+        log.write_text(
+            "timestamp,input_tokens,output_tokens\n"
+            + "".join(f"{2.0 * i},{200 + i},{50 + i}\n" for i in range(40))
+        )
+        argv = [
+            "simulate", "--requests", "3000", "--traffic", "replay",
+            "--arrivals", str(log), "--speedup", "4", "--horizon", "10",
+            "--duration", "20",
+        ]
+        assert cli._scenario_dict(build_parser().parse_args(argv))["traffic"] == {
+            "kind": "replay", "path": str(log), "speedup": 4.0, "horizon_s": 10.0,
+        }
+        path = _compile(argv, tmp_path)
+        flag_out = _json_out(argv, capsys)
+        # The 78 s log warped 4x into 19.5 s, then clipped at 10 s.
+        assert json.loads(flag_out)["arrivals"] == 20
+        assert _json_out(["simulate", "--scenario", path], capsys) == flag_out
+
+    def test_flag_run_equals_the_spec_written_by_hand(self, tmp_path, capsys):
+        spec = tmp_path / "poisson.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "name": "poisson",
+                    "duration_s": 20.0,
+                    "pods": 2,
+                    "workload": {"requests": 3000},
+                    "traffic": {"kind": "poisson", "rate_per_s": 2.0},
+                }
+            )
+        )
+        flag_out = _json_out(
+            ["simulate", "--requests", "3000", "--duration", "20"], capsys
+        )
+        assert _json_out(["simulate", "--scenario", str(spec)], capsys) == flag_out
+
+    def test_cluster_flag_run_equals_compiled_scenario(self, tmp_path, capsys):
+        argv = CLUSTER_ARGS + [
+            "--policy", "target-utilization", "--target-util", "0.2",
+            "--admission", "shed", "--interval", "5",
+            "--fault", "crash@10:restart=5", "--zones", "2",
+            "--cloud", "--cloud-mode", "spot", "--cloud-spot-rate", "30",
+            "--cloud-seed", "3", "--cloud-quota", "A100-80GB=4",
+            "--max-cloud-pods", "2",
+        ]
+        path = _compile(argv, tmp_path)
+        flag_out = _json_out(argv, capsys)
+        data = json.loads(flag_out)
+        assert data["cloud"] is not None
+        assert data["fault_events"]
+        assert _json_out(["cluster-sim", "--scenario", path], capsys) == flag_out
+
+    def test_compiled_mapping(self):
+        args = build_parser().parse_args(
+            CLUSTER_ARGS[:5] + [
+                "--capacity", "A100-80GB=3", "--policy", "predictive",
+                "--admission", "defer", "--fault", "crash@10:pod=0,restart=5",
+            ]
+        )
+        assert cli._scenario_dict(args) == {
+            "name": "cluster-sim",
+            "seed": 0,
+            "duration_s": 120.0,
+            "warmup_s": 0.0,
+            "max_batch_weight": 12_000,
+            "workload": {"requests": 50_000},
+            "router": "least-loaded",
+            "tenants": [
+                {
+                    "name": name,
+                    "llm": "Llama-2-13b",
+                    "profile": "1xA100-80GB",
+                    "pods": 1,
+                    "traffic": {"kind": "poisson", "rate_per_s": 4.0},
+                }
+                for name in ("chat", "code")
+            ],
+            "capacity": {"A100-80GB": 3},
+            "slo_ttft_ms": 2000.0,
+            "autoscaler": {
+                "policy": "predictive",
+                "min_pods": 1,
+                "max_pods": 16,
+                "interval_s": 15.0,
+                "cold_start_s": 10.0,
+                "metrics_window_s": 30.0,
+                "requests_per_pod_per_s": 2.0,
+            },
+            "admission": {"mode": "defer", "window_s": 30.0},
+            "faults": {
+                "zones": 1,
+                "events": [
+                    {"kind": "crash", "time_s": 10.0, "pod": 0,
+                     "restart_delay_s": 5.0},
+                ],
+            },
+        }
+
+    def test_bad_fault_option_names_the_flag(self, capsys):
+        rc = main(["simulate", "--requests", "3000", "--fault", "crash@5:zone=z"])
+        assert rc == 2
+        assert "--fault 'crash@5:zone=z'" in capsys.readouterr().err
+
+    def test_cli_has_no_second_builder(self):
+        for name in (
+            "_build_traffic", "_traffic_param", "_make_traffic",
+            "_make_faults", "_make_policy", "_parse_tenant_group",
+        ):
+            assert not hasattr(cli, name)
+
+    def test_no_fast_cluster_selects_the_oracle(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        oracle = ClusterSimulator._run_oracle
+
+        def spy(sim, t_end):
+            calls.append(not any(t.fleet.fast for t in sim.tenants))
+            return oracle(sim, t_end)
+
+        monkeypatch.setattr(ClusterSimulator, "_run_oracle", spy)
+        path = _compile(CLUSTER_ARGS, tmp_path)
+        fast_out = _json_out(CLUSTER_ARGS, capsys)
+        assert calls == []
+        inline = _json_out(CLUSTER_ARGS + ["--no-fast-cluster"], capsys)
+        scenario = _json_out(
+            ["cluster-sim", "--scenario", path, "--no-fast-cluster"], capsys
+        )
+        assert calls == [True, True]  # oracle cluster loop over oracle fleets
+        assert inline == scenario == fast_out
+
+
+class TestUserInputErrors:
+    @pytest.mark.parametrize("command", ["simulate", "autoscale", "recommend-elastic"])
+    def test_missing_traces_file_exits_2(self, command, capsys):
+        rc = main([command, "--traces", "missing.npz"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "missing.npz" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--interval", "nan", "decision_interval_s must be positive and finite"),
+            ("--metrics-window", "nan", "metrics_window_s must be positive and finite"),
+            ("--cold-start", "inf", "cold_start_s must be >= 0 and finite"),
+        ],
+    )
+    def test_autoscale_rejects_non_finite_mechanics(self, flag, value, message, capsys):
+        rc = main(["autoscale", "--requests", "3000", flag, value])
+        assert rc == 2
+        assert message in capsys.readouterr().err

@@ -384,3 +384,140 @@ class TestChaosGoldenPin:
         assert res.lost == 18
         assert (res.arrivals, res.requests_completed) == (102, 45)
         assert res.n_pods == 2
+
+
+def _record_crash_states(fleet, states):
+    """Record (routable serials, draining, starting) as each crash fires."""
+    crash = fleet._fault_crash
+
+    def wrapped(spec, t, kind):
+        states.append(
+            (
+                sorted(fleet._routable),
+                len(fleet._draining),
+                len(fleet._starting),
+            )
+        )
+        crash(spec, t, kind)
+
+    fleet._fault_crash = wrapped
+
+
+class TestCrashWhileDraining:
+    """A crash that takes the last routable pod while healthy pods drain
+    returns a draining pod to service instead of aborting the run."""
+
+    @staticmethod
+    def _fleet_spec(seed):
+        return ScenarioSpec.from_dict(
+            {
+                "name": "drain",
+                "seed": seed,
+                "duration_s": 40.0,
+                "pods": 3,
+                "workload": {"requests": 3000},
+                "traffic": {"kind": "poisson", "rate_per_s": 0.5},
+                "autoscaler": {
+                    "policy": "target-utilization",
+                    "target": 0.9,
+                    "min_pods": 1,
+                    "max_pods": 3,
+                    "interval_s": 10.0,
+                },
+                "faults": {"events": [{"kind": "crash", "time_s": 10.5, "pod": 0}]},
+            }
+        )
+
+    def test_fleet_survives_and_matches_oracle(self):
+        stranded = 0
+        for seed in (0, 2, 4):
+            spec = self._fleet_spec(seed)
+            generator = spec.build_generator()
+            runs = {}
+            for fast in (True, False):
+                states = []
+                fleet = spec.build_fleet(generator=generator, fast=fast)
+                _record_crash_states(fleet, states)
+                res = fleet.run(duration_s=spec.duration_s)
+                res.verify_conservation()
+                runs[fast] = res.to_dict()
+            assert runs[True] == runs[False]
+            (routable, draining, starting), = states
+            if routable == [0] and draining and not starting:
+                stranded += 1
+                # The crash killed pod 0, a draining pod took over, and
+                # arrivals after the crash were still served.
+                assert [e["pod"] for e in runs[True]["fault_events"]] == [0]
+                assert runs[True]["n_pods"] >= 1
+                assert runs[True]["requests_completed"] > 0
+        # Seed 2 is the case that used to abort with "no routable pods".
+        assert stranded >= 1
+
+    @staticmethod
+    def _cluster_spec():
+        # Tenant "a" bursts two pods into the cloud at t=10, loses its
+        # on-prem pod at 12.5 and drains one cloud pod at t=20; the spot
+        # reclaim at 20.5 takes the other, its last routable pod.
+        return ScenarioSpec.from_dict(
+            {
+                "name": "spot-while-draining",
+                "duration_s": 40.0,
+                "llm": "Llama-2-7b",
+                "profile": "1xA10-24GB",
+                "capacity": {"A10-24GB": 2},
+                "workload": {"requests": 3000},
+                "cloud": {"mode": "spot", "spot_interruptions_per_hour": 0.0},
+                "tenants": [
+                    {
+                        "name": "a",
+                        "pods": 1,
+                        "traffic": {
+                            "kind": "bursty",
+                            "rate_per_s": 5.0,
+                            "mean_on_s": 5.0,
+                            "mean_off_s": 1000.0,
+                        },
+                        "autoscaler": {
+                            "policy": "predictive",
+                            "requests_per_pod_per_s": 1.0,
+                            "metrics_window_s": 5.0,
+                            "min_pods": 1,
+                            "max_pods": 3,
+                            "interval_s": 10.0,
+                            "cold_start_s": 2.0,
+                        },
+                        "faults": {
+                            "events": [
+                                {"kind": "crash", "time_s": 12.5, "pod": 0},
+                                {"kind": "spot-preempt", "time_s": 20.5, "pod": 1},
+                            ]
+                        },
+                    },
+                    {
+                        "name": "b",
+                        "pods": 1,
+                        "traffic": {"kind": "poisson", "rate_per_s": 0.5},
+                    },
+                ],
+            }
+        )
+
+    def test_cluster_spot_preempt_survives_and_matches_oracle(self):
+        spec = self._cluster_spec()
+        generator = spec.build_generator()
+        runs = {}
+        for fast in (True, False):
+            states = []
+            sim = spec.build_cluster(generator=generator, fast=fast)
+            _record_crash_states(sim.tenants[0].fleet, states)
+            res = sim.run(duration_s=spec.duration_s)
+            res.verify_conservation()
+            runs[fast] = res.to_dict()
+        assert runs[True] == runs[False]
+        # At the reclaim pod 1 was tenant a's only routable pod, with
+        # pod 2 draining and nothing cold-starting.
+        assert states[-1] == ([1], 1, 0)
+        a = next(t for t in runs[True]["tenants"] if t["name"] == "a")
+        assert a["pods_end"] == 1
+        kinds = [(e["kind"], e["pod"]) for e in runs[True]["fault_events"]]
+        assert kinds == [("crash", 0), ("spot-preempt", 1)]

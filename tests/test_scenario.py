@@ -108,6 +108,42 @@ class TestValidation:
         ):
             ScenarioSpec.from_dict(fleet_spec(traffic=traffic))
 
+    @pytest.mark.parametrize(
+        "users, message",
+        [
+            (float("inf"), "users must be >= 1 and finite, got inf"),
+            (float("nan"), "users must be >= 1 and finite, got nan"),
+            (0, "users must be >= 1 and finite, got 0"),
+            (2.5, "users must be a whole number, got 2.5"),
+            ("many", "could not convert"),
+        ],
+    )
+    def test_rejects_bad_closed_users(self, users, message):
+        with pytest.raises(ValueError, match="closed-loop traffic in scenario: ") as exc:
+            ScenarioSpec.from_dict(
+                fleet_spec(traffic={"kind": "closed", "users": users})
+            )
+        assert message in str(exc.value)
+
+    def test_bad_tenant_users_names_the_tenant(self):
+        spec = cluster_spec()
+        spec["tenants"][0]["traffic"] = {"kind": "closed", "users": float("inf")}
+        with pytest.raises(ValueError, match="traffic in tenant 'chat': users"):
+            ScenarioSpec.from_dict(spec)
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ({"interval_s": float("nan")}, "decision_interval_s must be positive"),
+            ({"metrics_window_s": float("nan")}, "metrics_window_s must be positive"),
+            ({"cold_start_s": float("inf")}, "cold_start_s must be >= 0 and finite"),
+            ({"max_pods": 0}, "max_pods 0 must be >= min_pods 1"),
+        ],
+    )
+    def test_rejects_bad_autoscaler_values_at_load(self, section, message):
+        with pytest.raises(ValueError, match=f"autoscaler: {message}"):
+            ScenarioSpec.from_dict(fleet_spec(autoscaler=section))
+
     def test_rate_traffic_needs_rate(self):
         with pytest.raises(ValueError, match="needs 'rate_per_s'"):
             ScenarioSpec.from_dict(fleet_spec(traffic={"kind": "bursty"}))
