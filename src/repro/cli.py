@@ -1015,9 +1015,15 @@ def _cmd_cluster_sim(args) -> int:
         # does not fit the inventory is a user error); conservation is
         # verified outside it. Worker errors propagate out of fork_map
         # into the same handler.
+        # keep_samples: the recovery and degraded-SLO metrics read the
+        # per-request samples; without them they would report null.
         def run_spec(spec):
             sim = spec.build_cluster(fast=fast)
-            return sim.run(duration_s=spec.duration_s, warmup_s=spec.warmup_s)
+            return sim.run(
+                duration_s=spec.duration_s,
+                warmup_s=spec.warmup_s,
+                keep_samples=True,
+            )
 
         results = fork_map(run_spec, specs, args.jobs)
     except (KeyError, ValueError, OSError) as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.hardware.profile import GPUProfile
+from repro.utils.checks import check_finite
 
 __all__ = [
     "PricingTable",
@@ -110,13 +111,15 @@ class CloudInstanceType:
             price = self.price(mode)
             if price < 0:
                 raise ValueError(f"negative {mode} price for {self.gpu}: {price}")
+            check_finite(f"{mode} price for {self.gpu}", price)
         if self.quota_gpus is not None and self.quota_gpus < 0:
             raise ValueError(f"negative quota for {self.gpu}: {self.quota_gpus}")
-        if self.spot_interruptions_per_hour < 0:
-            raise ValueError(
-                f"negative spot interruption rate for {self.gpu}: "
-                f"{self.spot_interruptions_per_hour}"
-            )
+        # An infinite rate would seed an unbounded preemption schedule.
+        check_finite(
+            f"spot_interruptions_per_hour for {self.gpu}",
+            self.spot_interruptions_per_hour,
+            minimum=0,
+        )
 
     def price(self, mode: str) -> float:
         """Hourly per-GPU price for one purchasing ``mode``."""

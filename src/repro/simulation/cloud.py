@@ -35,6 +35,7 @@ from repro.hardware.pricing import CLOUD_PRICING_MODES, CloudCatalog
 from repro.hardware.profile import parse_profile
 from repro.simulation.faults import FaultSpec
 from repro.simulation.fleet import FleetSimulator
+from repro.utils.checks import check_finite
 from repro.utils.rng import derive_rng
 
 __all__ = [
@@ -72,13 +73,9 @@ class BurstPolicy:
             raise ValueError(
                 f"max_cloud_pods must be >= 0, got {self.max_cloud_pods}"
             )
-        if (
-            self.price_cap_per_pod_hour is not None
-            and self.price_cap_per_pod_hour < 0
-        ):
-            raise ValueError(
-                f"price_cap_per_pod_hour must be >= 0, "
-                f"got {self.price_cap_per_pod_hour}"
+        if self.price_cap_per_pod_hour is not None:
+            check_finite(
+                "price_cap_per_pod_hour", self.price_cap_per_pod_hour, minimum=0
             )
 
     def burst_pods(

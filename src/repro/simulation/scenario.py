@@ -238,6 +238,12 @@ class ScenarioSpec:
     capacity: dict[str, int] = field(default_factory=dict)
     cloud: dict | None = None
     expectations: dict | None = None
+    #: Replay logs parsed from ``path`` files, by path. A sweep builds a
+    #: fresh traffic model per candidate from one spec; the log's
+    #: transforms return new logs, so one parse serves every build.
+    _logs: dict[str, ArrivalLog] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ---- construction -----------------------------------------------------
 
@@ -659,7 +665,10 @@ class ScenarioSpec:
     def _build_replay(self, traffic: dict, label: str) -> ReplayTraffic:
         """Replay traffic: load the log, then apply the spec's transforms."""
         if "path" in traffic:
-            log = ArrivalLog.load(traffic["path"])
+            path = str(traffic["path"])
+            if path not in self._logs:
+                self._logs[path] = ArrivalLog.load(path)
+            log = self._logs[path]
         elif "arrivals" in traffic:
             rows = traffic["arrivals"]
             log = ArrivalLog.from_columns(

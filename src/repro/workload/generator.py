@@ -12,6 +12,7 @@ footprint and sampling speed (§V-A: the generator is ~35x faster and
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import repeat
 
 import numpy as np
 
@@ -28,7 +29,16 @@ _TOKEN_PARAMS = ("input_tokens", "output_tokens", "batch_size")
 
 
 class WorkloadGenerator:
-    """Produces realistic inference requests from a fitted request model."""
+    """Produces realistic inference requests from a fitted request model.
+
+    Requests are drawn as columns, vectorized over a batch, and turned
+    into :class:`InferenceRequest` objects by one private materializer
+    shared by the eager :meth:`sample_requests` and the lazy
+    :meth:`request_stream`. The stream draws 256-request chunks of
+    columns (and, with ``attach_text``, their texts right after) but
+    builds each object only when it is consumed, so a short closed-loop
+    load test does not pay for the unused tail of its last chunk.
+    """
 
     def __init__(
         self,
@@ -87,7 +97,38 @@ class WorkloadGenerator:
         server was tuned against this generator; independent-mode sampling
         can exceed the joint maximum, which is one of its distortions.
         """
+        return list(self._draw(n, as_rng(rng), first_id, max_weight))
+
+    def request_stream(
+        self, rng: np.random.Generator | int | None = None, chunk: int = 256
+    ) -> Iterator[InferenceRequest]:
+        """Infinite stream of requests (used by closed-loop user pools).
+
+        Columns are drawn ``chunk`` requests at a time, exactly as
+        :meth:`sample_requests` draws them, but each request object is
+        built only when the stream yields it: a load test that stops
+        early pays for the requests its users submitted, not the chunk.
+        """
         rng = as_rng(rng)
+        next_id = 0
+        while True:
+            yield from self._draw(chunk, rng, next_id)
+            next_id += chunk
+
+    def _draw(
+        self,
+        n: int,
+        rng: np.random.Generator,
+        first_id: int,
+        max_weight: int | None = None,
+    ) -> Iterator[InferenceRequest]:
+        """Draw ``n`` requests' columns (and texts) now; build lazily.
+
+        Every RNG draw for the ``n`` requests happens in this call, in the
+        same order for the eager and the streamed path, so a caller that
+        draws from ``rng`` between two yielded requests (``RequestSource``'s
+        truncation redraw) sees the same sequence either way.
+        """
         cols = self.sample_columns(n, rng=rng)
         inp = np.maximum(cols["input_tokens"].astype(int), 1)
         out = np.maximum(cols["output_tokens"].astype(int), 1)
@@ -102,37 +143,27 @@ class WorkloadGenerator:
             out = np.minimum(out, np.maximum(per_seq - inp, 1))
             inp = np.minimum(inp, per_seq - out)
             inp = np.maximum(inp, 1)
-        extra_params = [p for p in self.model.params if p not in _TOKEN_PARAMS]
-        requests = []
-        for i in range(n):
-            params = {p: float(cols[p][i]) for p in extra_params}
-            text = (
-                self.corpus.text_for_tokens(int(inp[i]), rng=rng)
-                if self.attach_text
-                else None
-            )
-            requests.append(
-                InferenceRequest(
-                    request_id=first_id + i,
-                    input_tokens=int(inp[i]),
-                    output_tokens=int(out[i]),
-                    batch_size=int(batch[i]),
-                    params=params,
-                    input_text=text,
-                )
-            )
-        return requests
-
-    def request_stream(
-        self, rng: np.random.Generator | int | None = None, chunk: int = 256
-    ) -> Iterator[InferenceRequest]:
-        """Infinite stream of requests (used by closed-loop user pools)."""
-        rng = as_rng(rng)
-        next_id = 0
-        while True:
-            for req in self.sample_requests(chunk, rng=rng, first_id=next_id):
-                yield req
-            next_id += chunk
+        inputs = inp.tolist()
+        texts = (
+            [self.corpus.text_for_tokens(k, rng=rng) for k in inputs]
+            if self.attach_text
+            else repeat(None)
+        )
+        names = [p for p in self.model.params if p not in _TOKEN_PARAMS]
+        rows = (
+            zip(*(cols[p].astype(float).tolist() for p in names))
+            if names
+            else repeat(())
+        )
+        return map(
+            InferenceRequest,
+            range(first_id, first_id + n),
+            inputs,
+            out.tolist(),
+            batch.tolist(),
+            (dict(zip(names, row)) for row in rows),
+            texts,
+        )
 
     # ---- reporting ---------------------------------------------------------
 

@@ -8,6 +8,7 @@ import repro.cli as cli
 from repro.characterization import PerfDataset
 from repro.cli import build_parser, main
 from repro.simulation import ClusterSimulator
+from repro.simulation.replay import ArrivalLog
 from repro.traces import TraceDataset
 
 
@@ -348,6 +349,19 @@ class TestClusterSimCommand:
         ]
         assert all(e["kind"] == "crash" for e in data["fault_events"])
 
+    def test_fault_json_reports_recovery_metrics(self, capsys):
+        argv = CLUSTER_ARGS + ["--fault", "crash@10:restart=5", "--json"]
+        assert main(argv) == 0
+        tenants = json.loads(capsys.readouterr().out)["tenants"]
+        # Under the default 2 s SLO the overloaded tenants never recover,
+        # but the degraded-window attainment is still measured.
+        assert [t["degraded_slo_attainment"] for t in tenants] == [0.0, 0.0]
+        assert [t["recovery_time_s"] for t in tenants] == [None, None]
+        assert main(argv + ["--slo-ttft-ms", "15000"]) == 0
+        for tenant in json.loads(capsys.readouterr().out)["tenants"]:
+            assert isinstance(tenant["recovery_time_s"], float)
+            assert isinstance(tenant["degraded_slo_attainment"], float)
+
     def test_autoscale_json_has_recovery_block(self, capsys):
         rc = main(
             [
@@ -465,6 +479,45 @@ class TestRecommendElasticCommand:
         assert rc in (0, 1)
         data_out = capsys.readouterr().out
         assert "static[1]" in data_out
+
+    def test_replay_log_parsed_once_per_sweep(self, tmp_path, capsys, monkeypatch):
+        log = tmp_path / "arrivals.csv"
+        log.write_text(
+            "timestamp,input_tokens,output_tokens\n"
+            + "".join(
+                f"{0.5 * i},{200 + i % 50},{50 + i % 30}\n" for i in range(120)
+            )
+        )
+        loads = []
+        load = ArrivalLog.load.__func__
+
+        def counting_load(cls, path):
+            loads.append(path)
+            return load(cls, path)
+
+        monkeypatch.setattr(ArrivalLog, "load", classmethod(counting_load))
+        argv = [
+            "recommend-elastic",
+            "--llm", "Llama-2-13b",
+            "--profile", "1xA100-80GB",
+            "--max-batch-weight", "20000",
+            "--traffic", "replay",
+            "--arrivals", str(log),
+            "--duration", "30",
+            "--slo-ttft-ms", "20000",
+            "--requests", "3000",
+            "--static-pods", "1",
+            "--json",
+        ]
+        outputs = []
+        for extra in ([], ["--no-arrival-cache"]):
+            loads.clear()
+            rc = main(argv + extra)
+            assert rc in (0, 1)
+            assert loads == [str(log)]
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["chosen"]["arrivals"] == 60
 
     def test_unknown_llm_exits_2(self, capsys):
         rc = main(

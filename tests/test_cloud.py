@@ -127,6 +127,29 @@ class TestCloudCatalog:
         with pytest.raises(ValueError, match="negative spot price"):
             CloudInstanceType(gpu="X", on_demand=1.0, spot=-0.1, reserved=0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field, match",
+        [
+            ("on_demand", "on-demand price"),
+            ("spot", "spot price"),
+            ("reserved", "reserved price"),
+            ("spot_interruptions_per_hour", "spot_interruptions_per_hour"),
+        ],
+    )
+    def test_non_finite_rejected_by_field(self, field, match, value):
+        kwargs = {"gpu": "X", "on_demand": 1.0, "spot": 0.3, "reserved": 0.6}
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{match} for X must be"):
+            CloudInstanceType(**kwargs)
+
+    def test_negative_interruption_rate_rejected(self):
+        with pytest.raises(ValueError, match="spot_interruptions_per_hour"):
+            CloudInstanceType(
+                gpu="X", on_demand=1.0, spot=0.3, reserved=0.6,
+                spot_interruptions_per_hour=-1.0,
+            )
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown cloud pricing mode"):
             aws_like_cloud_catalog().gpu_price(GPU, "preemptible")
@@ -169,6 +192,14 @@ class TestBurstPolicy:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown cloud pricing mode"):
             BurstPolicy(mode="preemptible")
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -1.0])
+    def test_bad_price_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="price_cap_per_pod_hour must be"):
+            BurstPolicy(price_cap_per_pod_hour=cap)
+
+    def test_zero_price_cap_is_legal(self):
+        assert BurstPolicy(price_cap_per_pod_hour=0.0).burst_pods(2, 0, 0.0) == 2
 
 
 class TestCloudLedger:

@@ -1,10 +1,18 @@
 """Tests for the workload generator: binning, joint model, sampling."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import repro.characterization.loadtest as loadtest
+from repro.characterization import run_load_test
+from repro.hardware import parse_profile
+from repro.inference import ContinuousBatchingEngine, InferenceRequest
+from repro.models import get_llm
+from repro.simulation import RequestSource
 from repro.workload import (
     Corpus,
     RequestModel,
@@ -220,3 +228,97 @@ class TestWorkloadGenerator:
         empty = traces.select(np.zeros(len(traces), dtype=bool))
         with pytest.raises(ValueError):
             TraceReplaySampler(empty)
+
+
+def _fields(req):
+    return (
+        req.request_id,
+        req.input_tokens,
+        req.output_tokens,
+        req.batch_size,
+        req.params,
+        req.input_text,
+    )
+
+
+def _eager_source(generator, rng, max_weight, n):
+    """Reference ``RequestSource`` draw: whole 256-request chunks built up
+    front, truncated requests redrawn mid-chunk from the same RNG."""
+    out, truncated, next_id = [], 0, 0
+    while len(out) < n:
+        for req in generator.sample_requests(256, rng=rng, first_id=next_id):
+            if len(out) == n:
+                break
+            if req.weight > max_weight:
+                req = generator.sample_requests(
+                    1, rng=rng, first_id=req.request_id, max_weight=max_weight
+                )[0]
+                truncated += 1
+            out.append(req)
+        next_id += 256
+    return out, truncated
+
+
+class TestRequestStream:
+    """The stream draws 256-request chunks of columns eagerly and builds
+    each request lazily; every draw must match the eager path."""
+
+    @pytest.mark.parametrize(
+        "kwargs", [{}, {"independent": True}, {"attach_text": True}],
+        ids=["joint", "independent", "attach-text"],
+    )
+    def test_stream_equals_chunked_sample_requests(self, traces, kwargs):
+        gen = WorkloadGenerator.fit(traces, **kwargs)
+        n = 3 * 256 + 17
+        streamed = list(itertools.islice(gen.request_stream(rng=21), n))
+        twin = np.random.default_rng(21)
+        eager = []
+        for k in range(4):
+            eager += gen.sample_requests(256, rng=twin, first_id=256 * k)
+        assert [_fields(r) for r in streamed] == [_fields(r) for r in eager[:n]]
+        assert all(type(v) is float for r in streamed for v in r.params.values())
+        if kwargs.get("attach_text"):
+            assert all(
+                Corpus.count_tokens(r.input_text) == r.input_tokens
+                for r in streamed
+            )
+
+    def test_request_source_truncation_matches_eager(self, traces, generator):
+        gen = WorkloadGenerator.fit(traces, independent=True)
+        max_weight = generator.max_request_weight() // 2
+        rng = np.random.default_rng(8)
+        source = RequestSource(gen, rng, max_weight)
+        drawn = [source.next_request() for _ in range(300)]
+        ref_rng = np.random.default_rng(8)
+        eager, truncated = _eager_source(gen, ref_rng, max_weight, 300)
+        assert truncated > 0  # the mid-chunk redraw path ran
+        assert [_fields(r) for r in drawn] == [_fields(r) for r in eager]
+        assert all(r.weight <= max_weight for r in drawn)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_load_test_builds_only_submitted_requests(self, generator, monkeypatch):
+        built = []
+        post_init = InferenceRequest.__post_init__
+
+        def counting(self):
+            built.append(self.request_id)
+            post_init(self)
+
+        sources = []
+
+        class RecordingSource(RequestSource):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sources.append(self)
+
+        monkeypatch.setattr(InferenceRequest, "__post_init__", counting)
+        monkeypatch.setattr(loadtest, "RequestSource", RecordingSource)
+        engine = ContinuousBatchingEngine(
+            get_llm("Llama-2-13b"), parse_profile("1xA100-40GB"),
+            max_batch_weight=12_000,
+        )
+        res = run_load_test(engine, generator, 10, duration_s=10.0, seed=1)
+        (source,) = sources
+        assert res.requests_completed > 0
+        assert source.drawn % 256 != 0
+        assert len(built) == source.drawn
